@@ -18,7 +18,7 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # The eantlint multichecker: rngonly, noclock, maporder, floatsum,
-# statsmut, hotclosure, hotalloc, resetstate, ptrretain —
+# statsmut, hotalloc, resetstate, ptrretain —
 # interprocedural since the call-graph layer landed, so the whole
 # module is analyzed as one unit.
 # Known debt lives in lint.baseline; new findings exit non-zero with
@@ -42,13 +42,12 @@ bench-smoke:
 	$(GO) test -run xxx -bench SimulatorThroughput -benchtime=1x -benchmem .
 	$(GO) test -run xxx -bench BenchmarkDisabledProbe -benchtime=1000x -benchmem ./internal/probe
 
-# The full scale grid plus the warm/cold sweep pair, benchstat-friendly:
-# fixed iteration counts (not -benchtime=Ns) so allocs/op is comparable
-# across commits, and COUNT-many repetitions so benchstat can attach
-# confidence intervals. Pipe two runs into benchstat to compare:
-#   make bench > /tmp/old.txt  (on the base commit)
-#   make bench > /tmp/new.txt  (on your branch)
-#   benchstat /tmp/old.txt /tmp/new.txt
+# The full scale grid plus the warm/cold sweep pair: fixed iteration
+# counts (not -benchtime=Ns) so allocs/op is comparable across commits,
+# and COUNT-many repetitions to show the spread. To compare two commits
+# end to end, run the benchmark harness on each checkout:
+#   bash _perfbench/run.sh --workload W --seed N --seconds S --trace 0
+# (workloads are listed in BENCHMARK.json and _perfbench/README.md).
 # BENCH_*.json record the committed history of these numbers. On shared
 # hardware, trust grid-wide trends over single cells (EXPERIMENTS.md).
 COUNT ?= 5

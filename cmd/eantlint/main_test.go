@@ -47,7 +47,7 @@ func TestAnalyzersFlagListsSuite(t *testing.T) {
 	if code := run([]string{"-analyzers"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
-	for _, name := range []string{"rngonly", "noclock", "maporder", "floatsum", "statsmut", "hotclosure", "hotalloc", "resetstate"} {
+	for _, name := range []string{"rngonly", "noclock", "maporder", "floatsum", "statsmut", "hotalloc", "resetstate", "ptrretain"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-analyzers output missing %s:\n%s", name, out.String())
 		}

@@ -48,33 +48,31 @@ import (
 )
 
 // Scheduler selects the task-assignment policy of a run.
-type Scheduler string
+type Scheduler = sched.Name
 
 // Available schedulers.
 const (
 	// SchedulerEAnt is the paper's contribution: ACO-based adaptive,
 	// energy-aware task assignment.
-	SchedulerEAnt Scheduler = "E-Ant"
+	SchedulerEAnt = sched.NameEAnt
 	// SchedulerFair is the Hadoop Fair Scheduler (heterogeneity-
 	// oblivious baseline).
-	SchedulerFair Scheduler = "Fair"
+	SchedulerFair = sched.NameFair
 	// SchedulerTarazu is the communication-aware load balancer of Ahmad
 	// et al. (performance-aware, energy-oblivious baseline).
-	SchedulerTarazu Scheduler = "Tarazu"
+	SchedulerTarazu = sched.NameTarazu
 	// SchedulerFIFO is default Hadoop (job-arrival order).
-	SchedulerFIFO Scheduler = "FIFO"
+	SchedulerFIFO = sched.NameFIFO
 	// SchedulerLATE adds speculative re-execution of stragglers to Fair
 	// assignment (Zaharia et al., OSDI'08).
-	SchedulerLATE Scheduler = "LATE"
+	SchedulerLATE = sched.NameLATE
 	// SchedulerCapacity is the Hadoop Capacity Scheduler with a single
 	// default queue (FIFO within the queue).
-	SchedulerCapacity Scheduler = "Capacity"
+	SchedulerCapacity = sched.NameCapacity
 )
 
 // Schedulers lists every available policy.
-func Schedulers() []Scheduler {
-	return []Scheduler{SchedulerEAnt, SchedulerFair, SchedulerTarazu, SchedulerLATE, SchedulerCapacity, SchedulerFIFO}
-}
+func Schedulers() []Scheduler { return sched.Names() }
 
 // App identifies a PUMA benchmark application.
 type App = workload.App
@@ -278,59 +276,6 @@ func eantParams(spec RunSpec) EAntParams {
 	return core.DefaultParams()
 }
 
-// newScheduler constructs a fresh scheduler instance for the spec.
-func newScheduler(spec RunSpec) (mapreduce.Scheduler, error) {
-	switch spec.Scheduler {
-	case SchedulerEAnt:
-		e, err := core.NewEAnt(eantParams(spec))
-		if err != nil {
-			return nil, fmt.Errorf("eant: %w", err)
-		}
-		return e, nil
-	case SchedulerFair:
-		return sched.NewFair(), nil
-	case SchedulerTarazu:
-		return sched.NewTarazu(), nil
-	case SchedulerFIFO:
-		return sched.NewFIFO(), nil
-	case SchedulerLATE:
-		return sched.NewLATE(), nil
-	case SchedulerCapacity:
-		s, err := sched.NewCapacity(nil, nil)
-		if err != nil {
-			return nil, fmt.Errorf("eant: %w", err)
-		}
-		return s, nil
-	default:
-		return nil, fmt.Errorf("eant: unknown scheduler %q", spec.Scheduler)
-	}
-}
-
-// resetScheduler returns a cached scheduler instance to its pre-run state
-// for the given spec, adopting the spec's parameters where the policy has
-// any (E-Ant sweeps vary them between runs of one warm world).
-func resetScheduler(s mapreduce.Scheduler, spec RunSpec) error {
-	switch sc := s.(type) {
-	case *core.EAnt:
-		if err := sc.ResetForRun(eantParams(spec)); err != nil {
-			return fmt.Errorf("eant: %w", err)
-		}
-	case *sched.Fair:
-		sc.ResetForRun()
-	case *sched.Tarazu:
-		sc.ResetForRun()
-	case *sched.LATE:
-		sc.ResetForRun()
-	case *sched.FIFO:
-		sc.ResetForRun()
-	case *sched.Capacity:
-		sc.ResetForRun()
-	default:
-		return fmt.Errorf("eant: cannot reset scheduler %q for reuse", s.Name())
-	}
-	return nil
-}
-
 // specConfig translates a RunSpec into the driver configuration.
 func specConfig(spec RunSpec) mapreduce.Config {
 	cfg := mapreduce.DefaultConfig()
@@ -343,7 +288,7 @@ func specConfig(spec RunSpec) mapreduce.Config {
 	if spec.ControlInterval > 0 {
 		cfg.ControlInterval = spec.ControlInterval
 	} else {
-		cfg.ControlInterval = 30 * time.Second
+		cfg.ControlInterval = mapreduce.ScaledControlInterval
 	}
 	if spec.Noise != nil {
 		cfg.Noise = *spec.Noise
@@ -362,7 +307,7 @@ func specHorizon(spec RunSpec) time.Duration {
 	if spec.Horizon > 0 {
 		return spec.Horizon
 	}
-	return 48 * time.Hour
+	return mapreduce.RunawayHorizon
 }
 
 // resultFromStats wraps a run's statistics as the public Result.
@@ -377,27 +322,17 @@ func resultFromStats(stats *mapreduce.Stats) *Result {
 	}
 }
 
-// Run executes the campaign described by spec.
+// Run executes the campaign described by spec: the first run of a fresh
+// Runner over spec.Cluster, which is cloned and so left unmodified.
 func Run(spec RunSpec) (*Result, error) {
 	if spec.Cluster == nil {
 		return nil, fmt.Errorf("eant: RunSpec.Cluster is required")
 	}
-	if len(spec.Jobs) == 0 {
-		return nil, fmt.Errorf("eant: RunSpec.Jobs is empty")
-	}
-	s, err := newScheduler(spec)
+	r, err := NewRunner(spec.Cluster)
 	if err != nil {
 		return nil, err
 	}
-	driver, err := mapreduce.NewDriver(spec.Cluster, s, specConfig(spec))
-	if err != nil {
-		return nil, fmt.Errorf("eant: %w", err)
-	}
-	stats, err := driver.Run(spec.Jobs, specHorizon(spec))
-	if err != nil {
-		return nil, fmt.Errorf("eant: %w", err)
-	}
-	return resultFromStats(stats), nil
+	return r.Run(spec)
 }
 
 // Runner is a reusable simulation world: it owns a private clone of one
@@ -469,15 +404,19 @@ func (r *Runner) Run(spec RunSpec) (*Result, error) {
 // schedulerFor returns the cached, freshly-reset scheduler for the spec's
 // policy, constructing and caching it on first use.
 func (r *Runner) schedulerFor(spec RunSpec) (mapreduce.Scheduler, error) {
+	policy, err := sched.Lookup(spec.Scheduler)
+	if err != nil {
+		return nil, fmt.Errorf("eant: %w", err)
+	}
 	if s, ok := r.scheds[spec.Scheduler]; ok {
-		if err := resetScheduler(s, spec); err != nil {
-			return nil, err
+		if err := policy.Reset(s, eantParams(spec)); err != nil {
+			return nil, fmt.Errorf("eant: %w", err)
 		}
 		return s, nil
 	}
-	s, err := newScheduler(spec)
+	s, err := policy.New(eantParams(spec))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("eant: %w", err)
 	}
 	r.scheds[spec.Scheduler] = s
 	return s, nil

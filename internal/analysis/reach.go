@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 	"sort"
@@ -10,18 +9,13 @@ import (
 // This file defines the hot frontier — which functions count as "inside
 // the engine inner loop" — and the forward reachability pass that marks
 // everything they transitively call as hot. DESIGN.md §16 documents the
-// frontier; hotalloc and hotclosure consume the resulting fact.
+// frontier; hotalloc consumes the resulting fact.
 
-// engineSchedulers are the sim.Engine methods whose function-valued
-// arguments execute inside the engine loop: the typed-kind jump table and
-// the closure scheduling API. Every function value handed to one becomes a
-// hot root, no matter how cold the code that registered it.
-var engineSchedulers = map[string]bool{
-	"RegisterKind":  true,
-	"Schedule":      true,
-	"ScheduleAfter": true,
-	"Every":         true,
-}
+// engineRegister is the sim.Engine method whose function-valued argument
+// executes inside the engine loop: the typed-kind jump table. Every
+// handler registered with it becomes a hot root, no matter how cold the
+// code that registered it.
+const engineRegister = "RegisterKind"
 
 // simEnginePath/simEngineType identify the engine type for root
 // detection; fixtures that import the real package match too.
@@ -31,8 +25,8 @@ const (
 )
 
 // hotFrontier names the functions that ARE the engine inner loop, matched
-// by (package path, receiver, name). The dispatch-table and closure roots
-// are discovered syntactically (see engineSchedulers); these are the named
+// by (package path, receiver, name). The dispatch-table roots are
+// discovered syntactically (see engineRegister); these are the named
 // anchors from DESIGN.md §16's frontier definition.
 var hotFrontier = []struct {
 	pkg, recv, name string
@@ -71,8 +65,7 @@ func (g *CallGraph) markHot() {
 		}
 	}
 
-	// Dispatch-table and closure roots: function values passed to the
-	// engine's scheduling methods.
+	// Dispatch-table roots: handlers registered with the engine.
 	for _, n := range g.Nodes {
 		if n.Body == nil {
 			continue
@@ -84,7 +77,7 @@ func (g *CallGraph) markHot() {
 				return true
 			}
 			sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok || !engineSchedulers[sel.Sel.Name] {
+			if !ok || sel.Sel.Name != engineRegister {
 				return true
 			}
 			if !namedFromInfo(info, sel.X, simEnginePath, simEngineName) {
@@ -97,7 +90,7 @@ func (g *CallGraph) markHot() {
 				} else if _, ok := sig.Underlying().(*types.Signature); !ok {
 					continue
 				}
-				desc := fmt.Sprintf("a handler registered with sim.Engine.%s (fires inside the run loop)", sel.Sel.Name)
+				const desc = "a handler registered with sim.Engine.RegisterKind (fires inside the run loop)"
 				switch a := arg.(type) {
 				case *ast.FuncLit:
 					root(g.byLit[a], desc)

@@ -33,43 +33,32 @@ const ScaleDown = 64
 
 // DefaultControlInterval is the paper's 5-minute control interval scaled
 // to the shrunken task durations (tasks shrink ~10×, intervals likewise).
-const DefaultControlInterval = 30 * time.Second
+const DefaultControlInterval = mapreduce.ScaledControlInterval
 
 // DefaultSeed keeps every experiment reproducible by default.
 const DefaultSeed = 1
 
 // SchedulerName selects a task-assignment policy.
-type SchedulerName string
+type SchedulerName = sched.Name
 
 // Scheduler choices used across the evaluation.
 const (
-	SchedFIFO   SchedulerName = "FIFO"
-	SchedFair   SchedulerName = "Fair"
-	SchedTarazu SchedulerName = "Tarazu"
-	SchedLATE   SchedulerName = "LATE"
-	SchedCap    SchedulerName = "Capacity"
-	SchedEAnt   SchedulerName = "E-Ant"
+	SchedFIFO   = sched.NameFIFO
+	SchedFair   = sched.NameFair
+	SchedTarazu = sched.NameTarazu
+	SchedLATE   = sched.NameLATE
+	SchedCap    = sched.NameCapacity
+	SchedEAnt   = sched.NameEAnt
 )
 
-// NewScheduler builds a fresh scheduler instance. E-Ant takes params; the
-// baselines ignore them.
+// NewScheduler builds a fresh scheduler instance from the registry. E-Ant
+// takes params; the baselines ignore them.
 func NewScheduler(name SchedulerName, params core.Params) (mapreduce.Scheduler, error) {
-	switch name {
-	case SchedFIFO:
-		return sched.NewFIFO(), nil
-	case SchedFair:
-		return sched.NewFair(), nil
-	case SchedTarazu:
-		return sched.NewTarazu(), nil
-	case SchedLATE:
-		return sched.NewLATE(), nil
-	case SchedCap:
-		return sched.NewCapacity(nil, nil)
-	case SchedEAnt:
-		return core.NewEAnt(params)
-	default:
-		return nil, fmt.Errorf("experiments: unknown scheduler %q", name)
+	policy, err := sched.Lookup(name)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
+	return policy.New(params)
 }
 
 // Campaign describes one simulated cluster run.
@@ -145,7 +134,7 @@ func (c Campaign) Run() (*mapreduce.Stats, error) {
 	}
 	horizon := c.Horizon
 	if horizon == 0 {
-		horizon = 48 * time.Hour
+		horizon = mapreduce.RunawayHorizon
 	}
 	stats, err := d.Run(c.Jobs, horizon)
 	if err != nil {

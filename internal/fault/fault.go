@@ -150,6 +150,16 @@ type Hooks struct {
 type Injector struct {
 	cfg Config
 	rng *sim.RNG
+
+	// Bind wires the injector to one engine for its owner's lifetime:
+	// the hooks and the four typed kinds (stochastic crash, stochastic
+	// recover, scripted crash, scripted recover) it schedules.
+	engine          *sim.Engine   //eant:reset-keep bound once by Bind; the owning driver never swaps engines
+	hooks           Hooks         //eant:reset-keep bound once by Bind; the owning driver never swaps hooks
+	evCrash         sim.EventKind //eant:reset-keep kind registration is per-engine-lifetime; Engine.Reset keeps the table
+	evRecover       sim.EventKind //eant:reset-keep kind registration is per-engine-lifetime; Engine.Reset keeps the table
+	evScriptCrash   sim.EventKind //eant:reset-keep kind registration is per-engine-lifetime; Engine.Reset keeps the table
+	evScriptRecover sim.EventKind //eant:reset-keep kind registration is per-engine-lifetime; Engine.Reset keeps the table
 }
 
 // NewInjector returns an injector for the given configuration; cfg must
@@ -172,6 +182,7 @@ func (in *Injector) Config() Config { return in.cfg }
 
 // Reset reconfigures the injector in place and rewinds its RNG stream to
 // the given seed, exactly reproducing a fresh NewInjector(cfg, NewRNG(seed)).
+// The Bind wiring survives.
 func (in *Injector) Reset(cfg Config, seed int64) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -192,22 +203,37 @@ func (in *Injector) Enabled() bool { return in.cfg.Enabled() }
 // one timestamp).
 const minPhase = time.Second
 
-// Start registers the crash/recover process for machines [0, machines) on
-// the engine. Stochastic crashes draw first-crash times in machine-ID
-// order, so the event sequence is a pure function of the fault stream.
-// Scripted events are scheduled afterwards, sorted by (time, position), and
-// override nothing: they simply fire alongside the stochastic process.
-func (in *Injector) Start(engine *sim.Engine, machines int, hooks Hooks) {
+// Bind registers the injector's event kinds on engine and wires them to
+// hooks. Call it once per engine, whether or not faults are enabled: a
+// later Reset may enable them, and because Engine.Reset keeps the kind
+// table, registering per run would grow it on every warm run.
+func (in *Injector) Bind(engine *sim.Engine, hooks Hooks) {
+	if hooks.Crash == nil || hooks.Recover == nil {
+		panic("fault: Bind with nil hooks")
+	}
+	in.engine, in.hooks = engine, hooks
+	in.evCrash = engine.RegisterKind(in.onCrash)
+	in.evRecover = engine.RegisterKind(in.onRecover)
+	in.evScriptCrash = engine.RegisterKind(func(id int, _ any) { hooks.Crash(id) })
+	in.evScriptRecover = engine.RegisterKind(func(id int, _ any) { hooks.Recover(id) })
+}
+
+// Start schedules the crash/recover process for machines [0, machines) on
+// the bound engine. Stochastic crashes draw first-crash times in
+// machine-ID order, so the event sequence is a pure function of the fault
+// stream. Scripted events are scheduled afterwards, sorted by (time,
+// position), and override nothing: they simply fire alongside the
+// stochastic process. Start is a no-op when faults are disabled.
+func (in *Injector) Start(machines int) {
 	if !in.cfg.Enabled() {
 		return
 	}
-	if hooks.Crash == nil || hooks.Recover == nil {
-		panic("fault: Start with nil hooks")
+	if in.engine == nil {
+		panic("fault: Start before Bind")
 	}
 	if in.cfg.MachineMTBF > 0 {
 		for id := 0; id < machines; id++ {
-			id := id
-			in.scheduleCrash(engine, id, hooks)
+			in.armCrash(id)
 		}
 	}
 	scripted := append([]Event(nil), in.cfg.Scenario...)
@@ -216,33 +242,32 @@ func (in *Injector) Start(engine *sim.Engine, machines int, hooks Hooks) {
 		if ev.Machine >= machines {
 			continue
 		}
-		ev := ev
-		engine.Schedule(ev.At, func() {
-			if ev.Kind == Crash {
-				hooks.Crash(ev.Machine)
-			} else {
-				hooks.Recover(ev.Machine)
-			}
-		})
+		kind := in.evScriptRecover
+		if ev.Kind == Crash {
+			kind = in.evScriptCrash
+		}
+		in.engine.ScheduleKind(ev.At, kind, ev.Machine, nil)
 	}
 }
 
-// scheduleCrash arms machine id's next stochastic crash; on firing, the
-// crash hook runs and recovery is armed, which in turn re-arms the next
-// crash. The chain draws lazily, one phase per event, so runs of any
-// length stay O(live events).
-func (in *Injector) scheduleCrash(engine *sim.Engine, id int, hooks Hooks) {
-	up := in.phase(in.cfg.MachineMTBF)
-	//eant:alloc-ok one live closure per machine at MTBF timescale, not per event
-	engine.ScheduleAfter(up, func() { //eant:closure-ok one live closure per machine at MTBF timescale, not per event
-		hooks.Crash(id)
-		down := in.phase(in.cfg.MachineMTTR)
-		//eant:alloc-ok one live closure per machine at MTTR timescale, not per event
-		engine.ScheduleAfter(down, func() { //eant:closure-ok one live closure per machine at MTTR timescale, not per event
-			hooks.Recover(id)
-			in.scheduleCrash(engine, id, hooks)
-		})
-	})
+// armCrash draws machine id's next up phase and schedules its stochastic
+// crash. The chain crash → recover → crash draws lazily, one phase per
+// event, so runs of any length stay O(live events).
+func (in *Injector) armCrash(id int) {
+	in.engine.ScheduleKindAfter(in.phase(in.cfg.MachineMTBF), in.evCrash, id, nil)
+}
+
+// onCrash fires machine id's stochastic crash, then draws its down phase
+// and arms the recovery.
+func (in *Injector) onCrash(id int, _ any) {
+	in.hooks.Crash(id)
+	in.engine.ScheduleKindAfter(in.phase(in.cfg.MachineMTTR), in.evRecover, id, nil)
+}
+
+// onRecover returns machine id to service and re-arms its next crash.
+func (in *Injector) onRecover(id int, _ any) {
+	in.hooks.Recover(id)
+	in.armCrash(id)
 }
 
 // phase draws one exponential up/down span with the given mean, floored.

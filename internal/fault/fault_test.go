@@ -130,7 +130,8 @@ func TestDisabledInjectorConsumesNoRNG(t *testing.T) {
 	engine := sim.NewEngine()
 	fired := 0
 	count := func(int) { fired++ }
-	inj.Start(engine, 8, Hooks{Crash: count, Recover: count})
+	inj.Bind(engine, Hooks{Crash: count, Recover: count})
+	inj.Start(8)
 	for i := 0; i < 10; i++ {
 		if inj.AttemptFails() {
 			t.Fatal("disabled injector reported an attempt failure")
@@ -154,12 +155,48 @@ func TestStartPanicsOnNilHooksWhenEnabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("enabled Start with nil hooks did not panic")
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("Bind with nil hooks", func() { inj.Bind(sim.NewEngine(), Hooks{}) })
+	mustPanic("enabled Start without hooks", func() { inj.Start(4) })
+}
+
+// TestFaultChainZeroAlloc pins that the stochastic crash/recover chain is
+// allocation-free once the engine's event pool is warm: each phase is a
+// typed event carrying only the machine ID.
+func TestFaultChainZeroAlloc(t *testing.T) {
+	inj, err := NewInjector(Config{MachineMTBF: 10 * time.Minute, MachineMTTR: 2 * time.Minute}, sim.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := sim.NewEngine()
+	crashes := 0
+	inj.Bind(engine, Hooks{Crash: func(int) { crashes++ }, Recover: func(int) {}})
+	inj.Start(16)
+	// A long warm-up lets the calendar's bucket slices reach their
+	// steady-state capacities, so only the chain itself is measured.
+	if err := engine.RunUntil(30 * 24 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	warm := crashes
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := engine.RunUntil(engine.Now() + 4*time.Hour); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	inj.Start(sim.NewEngine(), 4, Hooks{})
+	})
+	if crashes == warm {
+		t.Fatal("no crashes fired after warm-up; test premise broken")
+	}
+	if allocs != 0 {
+		t.Fatalf("fault chain allocated %v per 4h of crash/recover cycles, want 0", allocs)
+	}
 }
 
 // timeline runs the injector on a fresh engine and records every hook
@@ -172,10 +209,11 @@ func timeline(t *testing.T, cfg Config, seed int64, machines int, horizon time.D
 	}
 	engine := sim.NewEngine()
 	var events []Event
-	inj.Start(engine, machines, Hooks{
+	inj.Bind(engine, Hooks{
 		Crash:   func(id int) { events = append(events, Event{engine.Now(), id, Crash}) },
 		Recover: func(id int) { events = append(events, Event{engine.Now(), id, Recover}) },
 	})
+	inj.Start(machines)
 	if err := engine.RunUntil(horizon); err != nil {
 		t.Fatal(err)
 	}

@@ -101,6 +101,14 @@ func (p *PowerMgmt) setDefaults() {
 	}
 }
 
+// ScaledControlInterval is the paper's 5-minute control interval scaled
+// to the 1/64-shrunken workloads (tasks shrink ~10×, intervals likewise).
+const ScaledControlInterval = 30 * time.Second
+
+// RunawayHorizon caps the virtual duration of a run that sets no horizon
+// of its own.
+const RunawayHorizon = 48 * time.Hour
+
 // DefaultConfig returns the paper's setup: 3 s heartbeats, 5 min control
 // interval, full map barrier, replication 3, no noise.
 func DefaultConfig() Config {
@@ -281,6 +289,7 @@ func NewDriver(c *cluster.Cluster, sched Scheduler, cfg Config) (*Driver, error)
 	d.evComplete = engine.RegisterKind(func(_ int, arg any) { d.completeTask(arg.(*Task)) })
 	d.evFail = engine.RegisterKind(func(_ int, arg any) { d.failAttempt(arg.(*Task)) })
 	d.evReduceCompute = engine.RegisterKind(func(_ int, arg any) { d.beginReduceCompute(arg.(*Task)) })
+	inj.Bind(engine, fault.Hooks{Crash: d.crashMachine, Recover: d.recoverMachine})
 	d.initAggregates()
 	if inj.Enabled() {
 		d.blacklistUntil = make([]time.Duration, c.Size())
@@ -381,10 +390,7 @@ func (d *Driver) Run(specs []workload.JobSpec, horizon time.Duration) (*Stats, e
 
 	// Fault process: stochastic machine crashes/recoveries plus any
 	// scripted scenario. Start is a strict no-op when faults are disabled.
-	d.faults.Start(d.engine, d.cluster.Size(), fault.Hooks{
-		Crash:   d.crashMachine,
-		Recover: d.recoverMachine,
-	})
+	d.faults.Start(d.cluster.Size())
 
 	// completeJob stops the engine at the instant the campaign finishes,
 	// so the makespan (and the energy-integration window) ends at the
@@ -400,8 +406,8 @@ func (d *Driver) finished() bool { return d.unsubmit == 0 && len(d.active) == 0 
 
 // heartbeatTick is the per-tick heartbeat sweep event: it serves every
 // machine's free slots in one pass, then reschedules itself one heartbeat
-// out — mirroring Every's fn-then-reschedule order so the (at, seq)
-// event stream is unchanged. The self-chain ends when the run finishes.
+// out (fire, then reschedule: the order that fixes the (at, seq) event
+// stream). The self-chain ends when the run finishes.
 func (d *Driver) heartbeatTick() {
 	if d.finished() {
 		return

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"eant/internal/cluster"
+	"eant/internal/core"
 	"eant/internal/mapreduce"
 	"eant/internal/sched"
 	"eant/internal/workload"
@@ -42,6 +43,35 @@ func TestSchedulerNames(t *testing.T) {
 	}
 	if sched.NewTarazu().Name() != "Tarazu" {
 		t.Error("Tarazu name")
+	}
+}
+
+// TestRegistryRows checks every registry row: its constructor builds a
+// scheduler reporting the row's name, its reset accepts that instance,
+// and Lookup finds the row and rejects unknown names.
+func TestRegistryRows(t *testing.T) {
+	names := sched.Names()
+	if len(names) != 6 {
+		t.Fatalf("registry has %d policies, want 6", len(names))
+	}
+	for _, name := range names {
+		p, err := sched.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := p.New(core.DefaultParams())
+		if err != nil {
+			t.Fatalf("%s: New: %v", name, err)
+		}
+		if s.Name() != string(name) {
+			t.Errorf("row %s builds a scheduler named %s", name, s.Name())
+		}
+		if err := p.Reset(s, core.DefaultParams()); err != nil {
+			t.Errorf("%s: Reset: %v", name, err)
+		}
+	}
+	if _, err := sched.Lookup("Mystery"); err == nil {
+		t.Error("unknown policy found")
 	}
 }
 

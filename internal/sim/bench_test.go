@@ -6,35 +6,13 @@ import (
 )
 
 // BenchmarkEngine measures the event queue itself, isolated from any
-// simulation model: schedule/fire throughput for both event flavors, the
+// simulation model: schedule/fire throughput of a typed kind, the
 // periodic-heavy mix that dominates driver runs, a uniform-random mix that
 // defeats the calendar's bucket locality, and a cancel-heavy mix that
-// stresses lazy collection. ReportAllocs on every cell: the typed paths
-// must stay allocation-free once the event pool is warm.
-
-// benchTick is the self-rescheduling typed handler used by the periodic
-// cells; package-level so the closure the benchmark registers captures
-// only the engine and count.
+// stresses lazy collection. ReportAllocs on every cell: every path must
+// stay allocation-free once the event pool is warm.
 func BenchmarkEngine(b *testing.B) {
 	const width = 3 * time.Second
-
-	b.Run("schedule-fire/closure", func(b *testing.B) {
-		e := NewEngine()
-		e.SetBucketWidth(width)
-		n := 0
-		fn := func() { n++ }
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e.Schedule(e.Now()+time.Duration(i%64)*time.Second, fn)
-			if e.Pending() >= 1024 {
-				_ = e.Run()
-			}
-		}
-		_ = e.Run()
-		if n != b.N {
-			b.Fatalf("fired %d, want %d", n, b.N)
-		}
-	})
 
 	b.Run("schedule-fire/typed", func(b *testing.B) {
 		e := NewEngine()

@@ -197,23 +197,23 @@ func checkProgram(t *testing.T, seed int64, width time.Duration) {
 
 	// fire handles one event on the real engine: log it, then replay the
 	// RNG-drawn action (children + cancellation).
-	var engFire func(id int)
-	engFire = func(id int) {
+	var fireKind EventKind
+	engFire := func(id int) {
 		engLog = append(engLog, fmt.Sprintf("%d@%v", id, eng.Now()))
 		act := drawAction(engRng, width)
 		for _, d := range act.childDelays {
 			cid := engProg.nextID
 			engProg.nextID++
 			engProg.ids = append(engProg.ids, cid)
-			engProg.handles[cid] = eng.ScheduleAfter(d, func() { engFire(cid) })
+			engProg.handles[cid] = eng.ScheduleKindAfter(d, fireKind, cid, nil)
 		}
 		if act.cancelIdx >= 0 && len(engProg.ids) > 0 {
 			victim := engProg.ids[act.cancelIdx%len(engProg.ids)]
 			engProg.handles[victim].Cancel()
 		}
 	}
-	var orcFire func(id int)
-	orcFire = func(id int) {
+	fireKind = eng.RegisterKind(func(id int, _ any) { engFire(id) })
+	orcFire := func(id int) {
 		orcLog = append(orcLog, fmt.Sprintf("%d@%v", id, orc.now))
 		act := drawAction(orcRng, width)
 		for _, d := range act.childDelays {
@@ -238,7 +238,7 @@ func checkProgram(t *testing.T, seed int64, width time.Duration) {
 		id := engProg.nextID
 		engProg.nextID++
 		engProg.ids = append(engProg.ids, id)
-		engProg.handles[id] = eng.Schedule(at, func() { engFire(id) })
+		engProg.handles[id] = eng.ScheduleKind(at, fireKind, id, nil)
 
 		oid := orcProg.nextID
 		orcProg.nextID++

@@ -6,16 +6,12 @@
 // All simulated Hadoop machinery (heartbeats, task completions, control
 // intervals) is driven by this engine.
 //
-// Two event flavors share one totally ordered (at, seq) stream:
-//
-//   - Closure events (Schedule/ScheduleAfter/Every) carry an arbitrary
-//     func(). They are the convenient general-purpose API, at the cost of
-//     one closure allocation per distinct callback.
-//   - Typed events (RegisterKind + ScheduleKind/ScheduleKindAfter) carry a
-//     small payload — an int index and a pointer — dispatched through a
-//     per-engine jump table. Scheduling one performs no allocation once
-//     the event pool is warm, which is what the driver's hot periodic
-//     paths (heartbeat sweeps, task completions) use.
+// Every event is typed: a caller registers a handler once (RegisterKind)
+// and schedules it any number of times (ScheduleKind/ScheduleKindAfter)
+// with a small payload — an int index and a pointer — dispatched through
+// a per-engine jump table. Scheduling performs no allocation once the
+// event pool is warm, so periodic processes (heartbeat sweeps, control
+// ticks, fault phases) are handlers that reschedule themselves.
 package sim
 
 import (
@@ -28,30 +24,24 @@ import (
 // before the event queue drained or the horizon was reached.
 var ErrStopped = errors.New("sim: stopped")
 
-// Handler is a callback fired when an event's time arrives. The engine's
-// clock is already advanced to the event time when the handler runs.
-type Handler func()
-
-// TypedHandler is the jump-table callback of a registered event kind. It
+// TypedHandler is the jump-table callback of a registered event kind. The
+// engine's clock is already advanced to the event time when it runs. It
 // receives the payload stored at schedule time: a small integer (machine
 // index, slot number) and a pointer-shaped argument (task, job). Neither
 // is boxed per event, so a typed schedule is allocation-free.
 type TypedHandler func(i int, arg any)
 
-// EventKind names one registered typed handler. The zero value is the
-// closure kind and cannot be scheduled directly.
+// EventKind names one registered typed handler. The zero value is never
+// registered (jump-table slot 0 stays empty), so scheduling an unset kind
+// panics instead of firing some other handler.
 type EventKind uint16
-
-// kindClosure marks events carrying a Handler closure rather than a
-// registered kind; it occupies jump-table slot 0.
-const kindClosure EventKind = 0
 
 // event is a scheduled callback. seq breaks ties between events scheduled
 // for the same virtual instant so execution order is deterministic.
 //
 // Event structs are pooled: once an event fires (or a cancelled event is
 // popped), its struct goes onto the engine's free list and is reused by a
-// later Schedule. gen counts reuses; an EventHandle captures the gen at
+// later ScheduleKind. gen counts reuses; an EventHandle captures the gen at
 // schedule time, so a stale handle whose event has been recycled can
 // never cancel the struct's new occupant.
 type event struct {
@@ -60,9 +50,7 @@ type event struct {
 	gen uint64
 	// eng backs EventHandle.Cancel's live-count bookkeeping.
 	eng *Engine
-	// fn is the closure payload (kind == kindClosure only).
-	fn Handler
-	// arg and i are the typed payload (kind != kindClosure).
+	// arg and i are the payload handed to the kind's handler.
 	arg       any
 	i         int32
 	kind      EventKind
@@ -73,7 +61,7 @@ type event struct {
 //
 // Reuse rule: a handle is bound to one scheduled occurrence, not to the
 // underlying struct. After the event fires (or its cancellation is
-// collected), the struct may be recycled for a future Schedule; the old
+// collected), the struct may be recycled for a future ScheduleKind; the old
 // handle then goes inert — Cancel is a no-op and Cancelled reports
 // false. It is always safe to Cancel a handle "late".
 type EventHandle struct {
@@ -109,8 +97,8 @@ const numBuckets = 64
 // in-flight event population of a 1024-machine fleet (one completion
 // timer per occupied slot). Recycled structs past the cap are dropped to
 // the garbage collector, so a campaign that briefly peaks far above the
-// steady state does not retain a peak-size struct pool (and, for closure
-// events, their captured graphs) for the rest of the run.
+// steady state does not retain a peak-size struct pool for the rest of
+// the run.
 const maxFreeEvents = 8192
 
 // Engine is a single-threaded discrete-event simulator. The zero value is
@@ -152,7 +140,7 @@ type Engine struct {
 func NewEngine() *Engine {
 	return &Engine{
 		width: 3 * time.Second,
-		kinds: make([]TypedHandler, 1), // slot 0 is the closure kind
+		kinds: make([]TypedHandler, 1), // slot 0 stays unregistered
 	}
 }
 
@@ -201,8 +189,10 @@ func (e *Engine) Reset() {
 }
 
 // RegisterKind adds h to the engine's typed-event jump table and returns
-// its kind for ScheduleKind. Kinds are registered once per run (per
-// handler, not per event); a nil handler panics.
+// its kind for ScheduleKind. Kinds are registered once per owner (per
+// handler, not per event or per run: Reset keeps the table, so an owner
+// that re-registered on every warm run would grow it without bound); a
+// nil handler panics.
 func (e *Engine) RegisterKind(h TypedHandler) EventKind {
 	if h == nil {
 		panic("sim: RegisterKind called with nil handler")
@@ -225,7 +215,7 @@ func (e *Engine) Pending() int { return e.live }
 // with the next sequence number.
 func (e *Engine) alloc(at time.Duration) *event {
 	if at < e.now {
-		panic(fmt.Sprintf("sim: Schedule(%v) is before Now()=%v", at, e.now))
+		panic(fmt.Sprintf("sim: ScheduleKind(%v) is before Now()=%v", at, e.now))
 	}
 	e.seq++
 	var ev *event
@@ -240,35 +230,14 @@ func (e *Engine) alloc(at time.Duration) *event {
 	return ev
 }
 
-// Schedule registers fn to run at absolute virtual time at, returning a
-// handle that can cancel it. Scheduling in the past (before Now) is a
-// programming error and panics, because it would silently corrupt
-// causality in the model.
-func (e *Engine) Schedule(at time.Duration, fn Handler) EventHandle {
-	if fn == nil {
-		panic("sim: Schedule called with nil handler")
-	}
-	ev := e.alloc(at)
-	ev.kind, ev.fn = kindClosure, fn
-	e.insert(ev)
-	return EventHandle{ev: ev, gen: ev.gen}
-}
-
-// ScheduleAfter registers fn to run d after the current virtual time.
-// Negative d panics.
-func (e *Engine) ScheduleAfter(d time.Duration, fn Handler) EventHandle {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: ScheduleAfter(%v) with negative delay", d))
-	}
-	return e.Schedule(e.now+d, fn)
-}
-
-// ScheduleKind registers a typed event at absolute virtual time at. The
-// payload (i, arg) is delivered to the kind's registered handler; arg
-// should be a pointer (or nil) so storing it does not box. Unregistered
-// kinds — including the zero EventKind — panic.
+// ScheduleKind registers a typed event at absolute virtual time at,
+// returning a handle that can cancel it. The payload (i, arg) is
+// delivered to the kind's registered handler; arg should be a pointer (or
+// nil) so storing it does not box. Unregistered kinds — including the
+// zero EventKind — panic, and so does scheduling in the past (before
+// Now), because it would silently corrupt causality in the model.
 func (e *Engine) ScheduleKind(at time.Duration, kind EventKind, i int, arg any) EventHandle {
-	if kind == kindClosure || int(kind) >= len(e.kinds) {
+	if kind == 0 || int(kind) >= len(e.kinds) {
 		panic(fmt.Sprintf("sim: ScheduleKind with unregistered kind %d", kind))
 	}
 	ev := e.alloc(at)
@@ -284,24 +253,6 @@ func (e *Engine) ScheduleKindAfter(d time.Duration, kind EventKind, i int, arg a
 		panic(fmt.Sprintf("sim: ScheduleKindAfter(%v) with negative delay", d))
 	}
 	return e.ScheduleKind(e.now+d, kind, i, arg)
-}
-
-// Every schedules fn at start and then every period thereafter, until the
-// simulation ends or until fn's returned false. It is the closure-based
-// building block for periodic processes; hot loops use a typed kind that
-// reschedules itself instead.
-func (e *Engine) Every(start, period time.Duration, fn func() bool) {
-	if period <= 0 {
-		panic(fmt.Sprintf("sim: Every with non-positive period %v", period))
-	}
-	var tick Handler
-	tick = func() {
-		if !fn() {
-			return
-		}
-		e.ScheduleAfter(period, tick)
-	}
-	e.Schedule(start, tick)
 }
 
 // Stop halts the run loop after the currently executing event returns.
@@ -342,16 +293,12 @@ func (e *Engine) RunUntil(horizon time.Duration) error {
 		e.live--
 		e.now = next.at
 		e.fired++
-		kind, i, arg, fn := next.kind, next.i, next.arg, next.fn
-		// Recycle before firing: the handler may Schedule new events that
+		kind, i, arg := next.kind, next.i, next.arg
+		// Recycle before firing: the handler may schedule new events that
 		// reuse this struct. The generation bump makes any handle still
 		// pointing at this occurrence inert (see EventHandle).
 		e.recycle(next)
-		if kind == kindClosure {
-			fn()
-		} else {
-			e.kinds[kind](int(i), arg)
-		}
+		e.kinds[kind](int(i), arg)
 	}
 	return nil
 }
@@ -437,8 +384,7 @@ func (e *Engine) popActive() { heapPop(&e.active) }
 // instead (see maxFreeEvents).
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.fn = nil  // release the closure
-	ev.arg = nil // release the typed payload
+	ev.arg = nil // release the payload
 	if len(e.free) < maxFreeEvents {
 		e.free = append(e.free, ev)
 	}

@@ -11,7 +11,8 @@ import (
 func TestEngineCancelAfterFireIsInert(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	h := e.Schedule(time.Second, func() { fired++ })
+	k := countKind(e, &fired)
+	h := e.ScheduleKind(time.Second, k, 0, nil)
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -22,10 +23,10 @@ func TestEngineCancelAfterFireIsInert(t *testing.T) {
 	if h.Cancelled() {
 		t.Error("handle of a fired event reports Cancelled")
 	}
-	// The struct h pointed at is now on the free list; the next Schedule
+	// The struct h pointed at is now on the free list; the next schedule
 	// reuses it. The stale cancel above must not have touched it.
 	fired = 0
-	e.Schedule(2*time.Second, func() { fired++ })
+	e.ScheduleKind(2*time.Second, k, 0, nil)
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -39,13 +40,15 @@ func TestEngineCancelAfterFireIsInert(t *testing.T) {
 // be able to cancel that new event, and must not report its state.
 func TestEngineCancelAfterReuseDoesNotResurrect(t *testing.T) {
 	e := NewEngine()
-	old := e.Schedule(time.Second, func() {})
+	fired := 0
+	k := countKind(e, &fired)
+	old := e.ScheduleKind(time.Second, k, 0, nil)
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 
-	fired := 0
-	fresh := e.Schedule(2*time.Second, func() { fired++ })
+	fired = 0
+	fresh := e.ScheduleKind(2*time.Second, k, 0, nil)
 	if old.ev != fresh.ev {
 		t.Fatalf("free list did not recycle the struct; test premise broken")
 	}
@@ -63,7 +66,7 @@ func TestEngineCancelAfterReuseDoesNotResurrect(t *testing.T) {
 	// And the converse: cancelling the fresh handle works, and the stale
 	// handle still reports nothing.
 	fired = 0
-	again := e.Schedule(3*time.Second, func() { fired++ })
+	again := e.ScheduleKind(3*time.Second, k, 0, nil)
 	again.Cancel()
 	if !again.Cancelled() {
 		t.Error("live handle does not report Cancelled")
@@ -83,12 +86,13 @@ func TestEngineCancelAfterReuseDoesNotResurrect(t *testing.T) {
 // returned to the free list when the run loop collects them.
 func TestEngineCancelledPopRecycles(t *testing.T) {
 	e := NewEngine()
-	h := e.Schedule(time.Second, func() { t.Error("cancelled event fired") })
+	bad := e.RegisterKind(func(int, any) { t.Error("cancelled event fired") })
+	h := e.ScheduleKind(time.Second, bad, 0, nil)
 	h.Cancel()
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	reused := e.Schedule(2*time.Second, func() {})
+	reused := e.ScheduleKind(2*time.Second, nopKind(e), 0, nil)
 	if reused.ev != h.ev {
 		t.Error("cancelled event struct was not recycled")
 	}
@@ -107,10 +111,13 @@ func TestEngineCancelledPopRecycles(t *testing.T) {
 func TestEngineFreeListReusesAcrossManyEvents(t *testing.T) {
 	e := NewEngine()
 	n := 0
-	e.Every(0, time.Second, func() bool {
-		n++
-		return n < 1000
+	var tick EventKind
+	tick = e.RegisterKind(func(int, any) {
+		if n++; n < 1000 {
+			e.ScheduleKindAfter(time.Second, tick, 0, nil)
+		}
 	})
+	e.ScheduleKind(0, tick, 0, nil)
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

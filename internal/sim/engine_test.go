@@ -5,12 +5,28 @@ import (
 	"time"
 )
 
+// logKind registers a kind that appends its int payload to *log.
+func logKind(e *Engine, log *[]int) EventKind {
+	return e.RegisterKind(func(i int, _ any) { *log = append(*log, i) })
+}
+
+// countKind registers a kind that increments *n.
+func countKind(e *Engine, n *int) EventKind {
+	return e.RegisterKind(func(int, any) { *n++ })
+}
+
+// nopKind registers a kind that does nothing.
+func nopKind(e *Engine) EventKind {
+	return e.RegisterKind(func(int, any) {})
+}
+
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.Schedule(3*time.Second, func() { got = append(got, 3) })
-	e.Schedule(1*time.Second, func() { got = append(got, 1) })
-	e.Schedule(2*time.Second, func() { got = append(got, 2) })
+	k := logKind(e, &got)
+	e.ScheduleKind(3*time.Second, k, 3, nil)
+	e.ScheduleKind(1*time.Second, k, 1, nil)
+	e.ScheduleKind(2*time.Second, k, 2, nil)
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -28,9 +44,9 @@ func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 func TestEngineTiesFireInScheduleOrder(t *testing.T) {
 	e := NewEngine()
 	var got []int
+	k := logKind(e, &got)
 	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(time.Second, func() { got = append(got, i) })
+		e.ScheduleKind(time.Second, k, i, nil)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -45,9 +61,9 @@ func TestEngineTiesFireInScheduleOrder(t *testing.T) {
 func TestEngineScheduleDuringRun(t *testing.T) {
 	e := NewEngine()
 	var fired int
-	e.Schedule(time.Second, func() {
-		e.ScheduleAfter(time.Second, func() { fired++ })
-	})
+	inner := countKind(e, &fired)
+	outer := e.RegisterKind(func(int, any) { e.ScheduleKindAfter(time.Second, inner, 0, nil) })
+	e.ScheduleKind(time.Second, outer, 0, nil)
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -61,14 +77,16 @@ func TestEngineScheduleDuringRun(t *testing.T) {
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(5*time.Second, func() {
+	nop := nopKind(e)
+	k := e.RegisterKind(func(int, any) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.Schedule(time.Second, func() {})
+		e.ScheduleKind(time.Second, nop, 0, nil)
 	})
+	e.ScheduleKind(5*time.Second, k, 0, nil)
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -80,15 +98,30 @@ func TestEngineNilHandlerPanics(t *testing.T) {
 			t.Error("nil handler did not panic")
 		}
 	}()
-	NewEngine().Schedule(0, nil)
+	NewEngine().RegisterKind(nil)
+}
+
+func TestEngineUnregisteredKindPanics(t *testing.T) {
+	for _, kind := range []EventKind{0, 2} {
+		e := NewEngine()
+		nopKind(e)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ScheduleKind with unregistered kind %d did not panic", kind)
+				}
+			}()
+			e.ScheduleKind(0, kind, 0, nil)
+		}()
+	}
 }
 
 func TestEngineRunUntilHorizon(t *testing.T) {
 	e := NewEngine()
-	var fired []time.Duration
-	for _, d := range []time.Duration{1, 2, 3, 4, 5} {
-		d := d * time.Second
-		e.Schedule(d, func() { fired = append(fired, d) })
+	var fired []int
+	k := logKind(e, &fired)
+	for _, d := range []int{1, 2, 3, 4, 5} {
+		e.ScheduleKind(time.Duration(d)*time.Second, k, d, nil)
 	}
 	if err := e.RunUntil(3 * time.Second); err != nil {
 		t.Fatalf("RunUntil: %v", err)
@@ -113,7 +146,7 @@ func TestEngineRunUntilHorizon(t *testing.T) {
 
 func TestEngineRunUntilLeavesClockAtLastEventWhenDrained(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(4*time.Second, func() {})
+	e.ScheduleKind(4*time.Second, nopKind(e), 0, nil)
 	if err := e.RunUntil(10 * time.Second); err != nil {
 		t.Fatalf("RunUntil: %v", err)
 	}
@@ -125,8 +158,14 @@ func TestEngineRunUntilLeavesClockAtLastEventWhenDrained(t *testing.T) {
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	var fired int
-	e.Schedule(time.Second, func() { fired++; e.Stop() })
-	e.Schedule(2*time.Second, func() { fired++ })
+	k := e.RegisterKind(func(stop int, _ any) {
+		fired++
+		if stop == 1 {
+			e.Stop()
+		}
+	})
+	e.ScheduleKind(time.Second, k, 1, nil)
+	e.ScheduleKind(2*time.Second, k, 0, nil)
 	if err := e.Run(); err != ErrStopped {
 		t.Fatalf("Run = %v, want ErrStopped", err)
 	}
@@ -135,41 +174,12 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
-func TestEngineEvery(t *testing.T) {
-	e := NewEngine()
-	var ticks []time.Duration
-	e.Every(time.Second, 2*time.Second, func() bool {
-		ticks = append(ticks, e.Now())
-		return len(ticks) < 4
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	want := []time.Duration{1 * time.Second, 3 * time.Second, 5 * time.Second, 7 * time.Second}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks = %v, want %v", ticks, want)
-		}
-	}
-}
-
-func TestEngineEveryBadPeriodPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-positive period did not panic")
-		}
-	}()
-	NewEngine().Every(0, 0, func() bool { return false })
-}
-
 func TestEngineCancelPreventsFiring(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	h := e.Schedule(time.Second, func() { fired++ })
-	e.Schedule(2*time.Second, func() { fired++ })
+	k := countKind(e, &fired)
+	h := e.ScheduleKind(time.Second, k, 0, nil)
+	e.ScheduleKind(2*time.Second, k, 0, nil)
 	h.Cancel()
 	if !h.Cancelled() {
 		t.Error("handle does not report cancelled")
@@ -186,8 +196,9 @@ func TestEngineCancelDuringRun(t *testing.T) {
 	e := NewEngine()
 	fired := 0
 	var h EventHandle
-	e.Schedule(time.Second, func() { h.Cancel() })
-	h = e.Schedule(2*time.Second, func() { fired++ })
+	cancel := e.RegisterKind(func(int, any) { h.Cancel() })
+	e.ScheduleKind(time.Second, cancel, 0, nil)
+	h = e.ScheduleKind(2*time.Second, countKind(e, &fired), 0, nil)
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -203,7 +214,7 @@ func TestEngineCancelIdempotentAndZeroValue(t *testing.T) {
 		t.Error("zero handle reports cancelled")
 	}
 	e := NewEngine()
-	h := e.Schedule(time.Second, func() {})
+	h := e.ScheduleKind(time.Second, nopKind(e), 0, nil)
 	h.Cancel()
 	h.Cancel()
 	if err := e.Run(); err != nil {
@@ -213,8 +224,9 @@ func TestEngineCancelIdempotentAndZeroValue(t *testing.T) {
 
 func TestEngineFiredCount(t *testing.T) {
 	e := NewEngine()
+	k := nopKind(e)
 	for i := 0; i < 7; i++ {
-		e.Schedule(time.Duration(i)*time.Second, func() {})
+		e.ScheduleKind(time.Duration(i)*time.Second, k, 0, nil)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

@@ -27,9 +27,11 @@ func warmCases(cl *Cluster) []warmCase {
 	base := func(s Scheduler, jobs int, seed int64) RunSpec {
 		return RunSpec{Cluster: cl, Scheduler: s, Jobs: MSDWorkload(jobs, seed), Seed: seed}
 	}
+	// Every policy runs twice at two seeds, so each registry reset runs
+	// after a real run of the same policy on the one Runner.
 	var schedSweep []RunSpec
 	for _, s := range Schedulers() {
-		schedSweep = append(schedSweep, base(s, 10, 1))
+		schedSweep = append(schedSweep, base(s, 10, 1), base(s, 10, 2))
 	}
 	var jobsSweep []RunSpec
 	for _, jobs := range []int{5, 15, 30} {
@@ -55,6 +57,16 @@ func warmCases(cl *Cluster) []warmCase {
 	}
 	faultyFair := faulty
 	faultyFair.Scheduler = SchedulerFair
+	// The failures case starts fault-free, so its warm world is built
+	// without faults and a later Reset turns them on. The scripted spec
+	// crashes and recovers one machine and names one beyond the fleet.
+	faultFree := base(SchedulerEAnt, 12, 5)
+	scripted := base(SchedulerEAnt, 12, 5)
+	scripted.Faults = &FaultConfig{Scenario: []FaultEvent{
+		{At: 12 * time.Minute, Machine: 3, Kind: FaultRecover},
+		{At: 4 * time.Minute, Machine: 3, Kind: FaultCrash},
+		{At: 8 * time.Minute, Machine: 99, Kind: FaultCrash},
+	}}
 	consolidated := base(SchedulerEAnt, 10, 6)
 	consolidated.Consolidation = &Consolidation{}
 	cut := base(SchedulerEAnt, 20, 7)
@@ -68,7 +80,7 @@ func warmCases(cl *Cluster) []warmCase {
 		{name: "jobs_sweep", specs: jobsSweep},
 		{name: "beta_sweep", specs: betaSweep},
 		{name: "interval_sweep", specs: intervalSweep},
-		{name: "failures", specs: []RunSpec{faulty, faultyFair}, probed: true},
+		{name: "failures", specs: []RunSpec{faultFree, scripted, faulty, faultyFair}, probed: true},
 		{name: "consolidation", specs: []RunSpec{consolidated}},
 		{name: "horizon_cut", specs: []RunSpec{cut}},
 		{name: "task_records", specs: []RunSpec{records}},
