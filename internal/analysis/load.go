@@ -305,8 +305,10 @@ func ModulePath(root string) (string, error) {
 }
 
 // PackageDirs walks the module at root and returns every directory holding
-// a Go package, with its import path. testdata, hidden and vendor
-// directories are skipped, matching the go tool's "./..." expansion.
+// a Go package, with its import path. testdata, hidden, underscore and
+// vendor directories are skipped, and so is any nested module (a
+// directory below root with its own go.mod), matching the go tool's
+// "./..." expansion.
 func PackageDirs(root string) ([][2]string, error) {
 	modPath, err := ModulePath(root)
 	if err != nil {
@@ -323,6 +325,11 @@ func PackageDirs(root string) ([][2]string, error) {
 		name := d.Name()
 		if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
+		}
+		if path != root {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		entries, err := os.ReadDir(path)
 		if err != nil {

@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -34,6 +35,40 @@ func TestPackageDirsCoversModuleAndSkipsTestdata(t *testing.T) {
 		if !seen[want] {
 			t.Errorf("package list missing %s (got %d packages)", want, len(dirs))
 		}
+	}
+}
+
+// TestPackageDirsSkipsNestedModules: a directory below the root with its
+// own go.mod is another module, whatever its name, and so are the
+// packages under it.
+func TestPackageDirsSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, content string) {
+		t.Helper()
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module outer\n")
+	write("a/a.go", "package a\n")
+	write("bench/go.mod", "module outer/bench\n")
+	write("bench/main.go", "package main\n")
+	write("bench/sub/sub.go", "package sub\n")
+
+	dirs, err := analysis.PackageDirs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, dp := range dirs {
+		got = append(got, dp[1])
+	}
+	if len(got) != 1 || got[0] != "outer/a" {
+		t.Fatalf("PackageDirs = %v, want [outer/a]", got)
 	}
 }
 

@@ -147,9 +147,10 @@ type Hooks struct {
 
 // Injector schedules fault events on a sim engine and answers per-attempt
 // failure draws. All randomness comes from the injector's own RNG stream.
+// The zero Injector is ready for use after Bind and its first Reset.
 type Injector struct {
 	cfg Config
-	rng *sim.RNG
+	rng sim.RNG
 
 	// Bind wires the injector to one engine for its owner's lifetime:
 	// the hooks and the four typed kinds (stochastic crash, stochastic
@@ -162,26 +163,19 @@ type Injector struct {
 	evScriptRecover sim.EventKind //eant:reset-keep kind registration is per-engine-lifetime; Engine.Reset keeps the table
 }
 
-// NewInjector returns an injector for the given configuration; cfg must
-// validate. Defaults are applied for enabled configurations.
-func NewInjector(cfg Config, rng *sim.RNG) (*Injector, error) {
-	if err := cfg.Validate(); err != nil {
+// NewInjector returns an injector for the given configuration drawing
+// from a stream seeded with seed; cfg must validate.
+func NewInjector(cfg Config, seed int64) (*Injector, error) {
+	in := new(Injector)
+	if err := in.Reset(cfg, seed); err != nil {
 		return nil, err
 	}
-	if cfg.Enabled() {
-		cfg.SetDefaults()
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("fault: nil RNG")
-	}
-	return &Injector{cfg: cfg, rng: rng}, nil
+	return in, nil
 }
 
-// Config returns the injector's (defaulted) configuration.
-func (in *Injector) Config() Config { return in.cfg }
-
-// Reset reconfigures the injector in place and rewinds its RNG stream to
-// the given seed, exactly reproducing a fresh NewInjector(cfg, NewRNG(seed)).
+// Reset configures the injector and rewinds its RNG stream to the given
+// seed. Defaults are applied for enabled configurations. It is the
+// injector's only initializer: NewInjector is Reset on a zero Injector.
 // The Bind wiring survives.
 func (in *Injector) Reset(cfg Config, seed int64) error {
 	if err := cfg.Validate(); err != nil {

@@ -100,18 +100,12 @@ func TestSetDefaultsFillsSecondaryKnobs(t *testing.T) {
 }
 
 func TestNewInjectorRejectsBadInput(t *testing.T) {
-	if _, err := NewInjector(Config{TaskFailProb: 2}, sim.NewRNG(1)); err == nil {
+	if _, err := NewInjector(Config{TaskFailProb: 2}, 1); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := NewInjector(Config{}, nil); err == nil {
-		t.Error("nil RNG accepted")
-	}
-	inj, err := NewInjector(Config{MachineMTBF: time.Hour}, sim.NewRNG(1))
+	inj, err := NewInjector(Config{MachineMTBF: time.Hour}, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := inj.Config().MaxAttempts; got != 4 {
-		t.Errorf("injector did not default MaxAttempts: %d", got)
 	}
 	if inj.MaxAttempts() != 4 {
 		t.Errorf("MaxAttempts() = %d, want 4", inj.MaxAttempts())
@@ -122,8 +116,7 @@ func TestDisabledInjectorConsumesNoRNG(t *testing.T) {
 	// The no-op guarantee: with faults disabled, AttemptFails must not
 	// advance the stream (enabling the fault fork must never perturb
 	// runs that share the parent seed), and Start must schedule nothing.
-	rng := sim.NewRNG(42)
-	inj, err := NewInjector(Config{}, rng)
+	inj, err := NewInjector(Config{}, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +130,7 @@ func TestDisabledInjectorConsumesNoRNG(t *testing.T) {
 			t.Fatal("disabled injector reported an attempt failure")
 		}
 	}
-	got := rng.Float64()
+	got := inj.rng.Float64()
 	want := sim.NewRNG(42).Float64()
 	if got != want {
 		t.Errorf("disabled injector consumed RNG state: %v != %v", got, want)
@@ -151,7 +144,7 @@ func TestDisabledInjectorConsumesNoRNG(t *testing.T) {
 }
 
 func TestStartPanicsOnNilHooksWhenEnabled(t *testing.T) {
-	inj, err := NewInjector(Config{MachineMTBF: time.Minute}, sim.NewRNG(1))
+	inj, err := NewInjector(Config{MachineMTBF: time.Minute}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +165,7 @@ func TestStartPanicsOnNilHooksWhenEnabled(t *testing.T) {
 // allocation-free once the engine's event pool is warm: each phase is a
 // typed event carrying only the machine ID.
 func TestFaultChainZeroAlloc(t *testing.T) {
-	inj, err := NewInjector(Config{MachineMTBF: 10 * time.Minute, MachineMTTR: 2 * time.Minute}, sim.NewRNG(3))
+	inj, err := NewInjector(Config{MachineMTBF: 10 * time.Minute, MachineMTTR: 2 * time.Minute}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +196,7 @@ func TestFaultChainZeroAlloc(t *testing.T) {
 // firing as (now, machine, kind) triples.
 func timeline(t *testing.T, cfg Config, seed int64, machines int, horizon time.Duration) []Event {
 	t.Helper()
-	inj, err := NewInjector(cfg, sim.NewRNG(seed))
+	inj, err := NewInjector(cfg, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +256,7 @@ func TestScriptedEventsFireInOrderAndSkipOutOfRange(t *testing.T) {
 func TestPhaseFloor(t *testing.T) {
 	// Absurdly small means must still yield phases of at least minPhase, so
 	// a machine can never flap within one event instant.
-	inj, err := NewInjector(Config{MachineMTBF: time.Nanosecond, MachineMTTR: time.Nanosecond}, sim.NewRNG(3))
+	inj, err := NewInjector(Config{MachineMTBF: time.Nanosecond, MachineMTTR: time.Nanosecond}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +268,7 @@ func TestPhaseFloor(t *testing.T) {
 }
 
 func TestFailurePointRange(t *testing.T) {
-	inj, err := NewInjector(Config{TaskFailProb: 0.5}, sim.NewRNG(11))
+	inj, err := NewInjector(Config{TaskFailProb: 0.5}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +281,7 @@ func TestFailurePointRange(t *testing.T) {
 }
 
 func TestAttemptFailsMatchesProbability(t *testing.T) {
-	inj, err := NewInjector(Config{TaskFailProb: 0.3}, sim.NewRNG(5))
+	inj, err := NewInjector(Config{TaskFailProb: 0.3}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

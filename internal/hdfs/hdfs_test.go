@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"eant/internal/cluster"
-	"eant/internal/sim"
 )
 
 func testCluster(n int) *cluster.Cluster {
@@ -13,7 +12,7 @@ func testCluster(n int) *cluster.Cluster {
 }
 
 func TestPlaceReplicasDistinct(t *testing.T) {
-	ns := NewNamespace(testCluster(10), 3, sim.NewRNG(1))
+	ns := NewNamespace(testCluster(10), 3, 1)
 	f, err := ns.Place(1, 200)
 	if err != nil {
 		t.Fatalf("Place: %v", err)
@@ -37,7 +36,7 @@ func TestPlaceReplicasDistinct(t *testing.T) {
 
 func TestPlaceBalanced(t *testing.T) {
 	c := testCluster(8)
-	ns := NewNamespace(c, 3, sim.NewRNG(2))
+	ns := NewNamespace(c, 3, 2)
 	if _, err := ns.Place(1, 800); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +50,7 @@ func TestPlaceBalanced(t *testing.T) {
 }
 
 func TestReplicationClampedToClusterSize(t *testing.T) {
-	ns := NewNamespace(testCluster(2), 3, sim.NewRNG(3))
+	ns := NewNamespace(testCluster(2), 3, 3)
 	if ns.Replication() != 2 {
 		t.Fatalf("Replication() = %d, want clamped 2", ns.Replication())
 	}
@@ -67,14 +66,14 @@ func TestReplicationClampedToClusterSize(t *testing.T) {
 }
 
 func TestDefaultReplicationApplied(t *testing.T) {
-	ns := NewNamespace(testCluster(5), 0, sim.NewRNG(4))
+	ns := NewNamespace(testCluster(5), 0, 4)
 	if ns.Replication() != DefaultReplication {
 		t.Errorf("Replication() = %d, want %d", ns.Replication(), DefaultReplication)
 	}
 }
 
 func TestPlaceErrors(t *testing.T) {
-	ns := NewNamespace(testCluster(5), 3, sim.NewRNG(5))
+	ns := NewNamespace(testCluster(5), 3, 5)
 	if _, err := ns.Place(1, 0); err == nil {
 		t.Error("zero blocks accepted")
 	}
@@ -87,7 +86,7 @@ func TestPlaceErrors(t *testing.T) {
 }
 
 func TestIsLocalMatchesReplicas(t *testing.T) {
-	ns := NewNamespace(testCluster(6), 3, sim.NewRNG(6))
+	ns := NewNamespace(testCluster(6), 3, 6)
 	if _, err := ns.Place(7, 50); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +105,7 @@ func TestIsLocalMatchesReplicas(t *testing.T) {
 }
 
 func TestRemoveReleasesLoad(t *testing.T) {
-	ns := NewNamespace(testCluster(4), 2, sim.NewRNG(7))
+	ns := NewNamespace(testCluster(4), 2, 7)
 	if _, err := ns.Place(1, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +122,7 @@ func TestRemoveReleasesLoad(t *testing.T) {
 }
 
 func TestUnplacedLookupsPanic(t *testing.T) {
-	ns := NewNamespace(testCluster(3), 2, sim.NewRNG(8))
+	ns := NewNamespace(testCluster(3), 2, 8)
 	for _, fn := range []func(){
 		func() { ns.Replicas(1, 0) },
 		func() { ns.IsLocal(1, 0, 0) },
@@ -140,7 +139,7 @@ func TestUnplacedLookupsPanic(t *testing.T) {
 }
 
 func TestExcludeFromPlacement(t *testing.T) {
-	ns := NewNamespace(testCluster(5), 3, sim.NewRNG(10))
+	ns := NewNamespace(testCluster(5), 3, 10)
 	ns.ExcludeFromPlacement(2)
 	f, err := ns.Place(1, 100)
 	if err != nil {
@@ -159,7 +158,7 @@ func TestExcludeFromPlacement(t *testing.T) {
 }
 
 func TestExcludeClampsReplication(t *testing.T) {
-	ns := NewNamespace(testCluster(3), 3, sim.NewRNG(11))
+	ns := NewNamespace(testCluster(3), 3, 11)
 	ns.ExcludeFromPlacement(0)
 	f, err := ns.Place(1, 10)
 	if err != nil {
@@ -173,7 +172,7 @@ func TestExcludeClampsReplication(t *testing.T) {
 }
 
 func TestExcludeAllPanicsOnPlace(t *testing.T) {
-	ns := NewNamespace(testCluster(2), 1, sim.NewRNG(12))
+	ns := NewNamespace(testCluster(2), 1, 12)
 	ns.ExcludeFromPlacement(0)
 	ns.ExcludeFromPlacement(1)
 	defer func() {
@@ -185,7 +184,7 @@ func TestExcludeAllPanicsOnPlace(t *testing.T) {
 }
 
 func TestExcludeInvalidMachinePanics(t *testing.T) {
-	ns := NewNamespace(testCluster(2), 1, sim.NewRNG(13))
+	ns := NewNamespace(testCluster(2), 1, 13)
 	defer func() {
 		if recover() == nil {
 			t.Error("excluding nonexistent machine did not panic")
@@ -198,7 +197,7 @@ func TestPlacementInvariantsProperty(t *testing.T) {
 	f := func(seed int64, blocks uint8, machines uint8) bool {
 		n := int(machines)%14 + 2
 		b := int(blocks)%60 + 1
-		ns := NewNamespace(testCluster(n), 3, sim.NewRNG(seed))
+		ns := NewNamespace(testCluster(n), 3, seed)
 		file, err := ns.Place(1, b)
 		if err != nil {
 			return false

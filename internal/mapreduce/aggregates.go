@@ -86,7 +86,8 @@ type aggregates struct {
 	epoch uint64
 }
 
-// initAggregates seeds the aggregate state for a fresh, fully-awake fleet.
+// initAggregates sizes the aggregate buffers and builds the type table, a
+// pure function of the cluster; Reset seeds the values (resetAggregates).
 func (d *Driver) initAggregates() {
 	c := d.cluster
 	n := c.Size()
@@ -108,22 +109,13 @@ func (d *Driver) initAggregates() {
 	a.typeIdx, buf = buf[:n:n], buf[n:]
 	a.freeReduceByType = buf
 
-	awake := &a.byClass[classAwake]
 	for _, m := range c.Machines() {
-		spec := m.Spec()
 		for i, rep := range d.typeReps {
-			if rep.Name == spec.Name {
+			if rep.Name == m.Spec().Name {
 				a.typeIdx[m.ID()] = i
 				break
 			}
 		}
-		a.freeMap[m.ID()] = spec.MapSlots
-		a.freeReduce[m.ID()] = spec.ReduceSlots
-		awake.mapSlots += spec.MapSlots
-		awake.reduceSlots += spec.ReduceSlots
-		awake.freeMap += spec.MapSlots
-		awake.freeReduce += spec.ReduceSlots
-		a.freeReduceByType[a.typeIdx[m.ID()]] += spec.ReduceSlots
 	}
 }
 

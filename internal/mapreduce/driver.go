@@ -170,8 +170,8 @@ type Driver struct {
 	ns      *hdfs.Namespace
 	meter   *power.Meter
 	sched   Scheduler
-	noise   *noise.Model
-	local   *sim.RNG // locality-forcing stream
+	noise   noise.Model
+	local   sim.RNG // locality-forcing stream
 	ctx     *Context
 	// probe is the optional observability recorder; nil when disabled.
 	// Call sites guard with an explicit nil check so the disabled hot
@@ -199,7 +199,7 @@ type Driver struct {
 	// faults injects machine crashes and attempt failures; blacklistUntil
 	// and failCount implement the JobTracker's per-machine failure
 	// blacklist (allocated only when fault injection is enabled).
-	faults         *fault.Injector
+	faults         fault.Injector
 	blacklistUntil []time.Duration
 	failCount      []int
 
@@ -240,88 +240,29 @@ type Driver struct {
 }
 
 // NewDriver wires a driver for one run. The scheduler must not be shared
-// across drivers.
+// across drivers. NewDriver only allocates the driver's long-lived parts
+// and registers its event kinds; Reset, the one initializer of per-run
+// state, then configures them, so a cold driver is a warm one on zeroed
+// memory.
 func NewDriver(c *cluster.Cluster, sched Scheduler, cfg Config) (*Driver, error) {
-	cfg.setDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if sched == nil {
-		return nil, fmt.Errorf("mapreduce: nil scheduler")
-	}
-	root := sim.NewRNG(cfg.Seed)
-	engine := sim.NewEngine()
-	// Calendar buckets sized to the dominant event period: heartbeats,
-	// completions and shuffle transitions land in the O(1) ring; control
-	// ticks and far-future submissions take the overflow band.
-	engine.SetBucketWidth(cfg.Heartbeat)
-	nm, err := noise.NewModel(cfg.Noise, root.Fork("noise"))
-	if err != nil {
-		return nil, err
-	}
-	inj, err := fault.NewInjector(cfg.Fault, root.Fork("fault"))
-	if err != nil {
-		return nil, err
-	}
 	d := &Driver{
-		cfg:              cfg,
-		engine:           engine,
-		cluster:          c,
-		ns:               hdfs.NewNamespace(c, cfg.Replication, root.Fork("hdfs")),
-		meter:            power.NewMeter(c),
-		sched:            sched,
-		noise:            nm,
-		local:            root.Fork("locality"),
-		totalSlots:       c.TotalSlots(),
-		totalMapSlots:    c.TotalMapSlots(),
-		totalReduceSlots: c.TotalReduceSlots(),
-		stats:            newStats(sched.Name()),
-		intervalAssign:   make(map[int]map[int]int),
-		faults:           inj,
-		probe:            cfg.Probe,
+		engine:         sim.NewEngine(),
+		cluster:        c,
+		ns:             hdfs.NewNamespace(c, hdfs.DefaultReplication, 0),
+		meter:          power.NewMeter(c),
+		intervalAssign: make(map[int]map[int]int),
 	}
-	if obs, ok := sched.(SlotObserver); ok {
-		d.slotObs = obs
-	}
-	d.evHeartbeat = engine.RegisterKind(func(int, any) { d.heartbeatTick() })
-	d.evControl = engine.RegisterKind(func(int, any) { d.controlTickEvent() })
-	d.evSubmit = engine.RegisterKind(func(_ int, arg any) { d.submit(arg.(*Job)) })
-	d.evComplete = engine.RegisterKind(func(_ int, arg any) { d.completeTask(arg.(*Task)) })
-	d.evFail = engine.RegisterKind(func(_ int, arg any) { d.failAttempt(arg.(*Task)) })
-	d.evReduceCompute = engine.RegisterKind(func(_ int, arg any) { d.beginReduceCompute(arg.(*Task)) })
-	inj.Bind(engine, fault.Hooks{Crash: d.crashMachine, Recover: d.recoverMachine})
+	d.ctx = &Context{Cluster: c, HDFS: d.ns, Rng: new(sim.RNG), driver: d}
+	d.evHeartbeat = d.engine.RegisterKind(func(int, any) { d.heartbeatTick() })
+	d.evControl = d.engine.RegisterKind(func(int, any) { d.controlTickEvent() })
+	d.evSubmit = d.engine.RegisterKind(func(_ int, arg any) { d.submit(arg.(*Job)) })
+	d.evComplete = d.engine.RegisterKind(func(_ int, arg any) { d.completeTask(arg.(*Task)) })
+	d.evFail = d.engine.RegisterKind(func(_ int, arg any) { d.failAttempt(arg.(*Task)) })
+	d.evReduceCompute = d.engine.RegisterKind(func(_ int, arg any) { d.beginReduceCompute(arg.(*Task)) })
+	d.faults.Bind(d.engine, fault.Hooks{Crash: d.crashMachine, Recover: d.recoverMachine})
 	d.initAggregates()
-	if inj.Enabled() {
-		d.blacklistUntil = make([]time.Duration, c.Size())
-		d.failCount = make([]int, c.Size())
-	}
-	for _, typeName := range cfg.ComputeOnlyTypes {
-		for _, m := range c.ByType(typeName) {
-			d.ns.ExcludeFromPlacement(m.ID())
-		}
-	}
-	if cfg.Power.Enabled {
-		d.covering = make([]bool, c.Size())
-		d.lastBusy = make([]time.Duration, c.Size())
-		var coveringIDs []int
-		for _, name := range c.TypeNames() {
-			machines := c.ByType(name)
-			n := cfg.Power.CoveringPerType
-			if n > len(machines) {
-				n = len(machines)
-			}
-			for i := 0; i < n; i++ {
-				d.covering[machines[i].ID()] = true
-				coveringIDs = append(coveringIDs, machines[i].ID())
-			}
-		}
-		d.ns.PreferFirstReplicaOn(coveringIDs)
-	}
-	d.ctx = &Context{
-		Cluster: c,
-		HDFS:    d.ns,
-		Rng:     root.Fork("sched"),
-		driver:  d,
+	if err := d.Reset(sched, cfg); err != nil {
+		return nil, err
 	}
 	return d, nil
 }
@@ -344,11 +285,11 @@ func (d *Driver) Run(specs []workload.JobSpec, horizon time.Duration) (*Stats, e
 		}
 	}
 
-	// Place inputs and schedule submissions. A warm driver (Reset) whose
-	// retained job list matches the new specs exactly reuses the Job and
-	// Task structures in place; any mismatch rebuilds from scratch. Inputs
-	// are re-placed either way — the namespace reset rewound the HDFS
-	// stream, so the replica draws replay bit-identically.
+	// Place inputs and schedule submissions. Jobs are allocated only when
+	// the specs differ from the retained job list; either way every job is
+	// initialized by resetForRun (newJob calls it too). Inputs are
+	// re-placed each run — Reset rewound the HDFS stream, so the replica
+	// draws replay bit-identically.
 	warm := len(d.jobs) == len(specs)
 	if warm {
 		for i := range specs {
@@ -371,15 +312,12 @@ func (d *Driver) Run(specs []workload.JobSpec, horizon time.Duration) (*Stats, e
 			return nil, fmt.Errorf("mapreduce: placing job %d: %w", spec.ID, err)
 		}
 		replicasOf := func(block int) []int { return file.Blocks[block] }
-		var job *Job
 		if warm {
-			job = d.jobs[i]
-			job.resetForRun(replicasOf, d.staleEstimates)
+			d.jobs[i].resetForRun(replicasOf, d.staleEstimates)
 		} else {
-			job = newJob(spec, replicasOf)
-			d.jobs = append(d.jobs, job)
+			d.jobs = append(d.jobs, newJob(spec, replicasOf))
 		}
-		d.engine.ScheduleKind(spec.Submit, d.evSubmit, 0, job)
+		d.engine.ScheduleKind(spec.Submit, d.evSubmit, 0, d.jobs[i])
 	}
 
 	// Heartbeat and control loops: typed self-rescheduling sweep events

@@ -246,7 +246,7 @@ func (d *Driver) failJob(j *Job) {
 // noteMachineFailure charges one attempt failure against the machine;
 // reaching the threshold benches it for the blacklist cooldown.
 func (d *Driver) noteMachineFailure(m cluster.Machine) {
-	cfg := d.faults.Config()
+	cfg := d.cfg.Fault
 	if cfg.BlacklistThreshold <= 0 {
 		return
 	}

@@ -2,26 +2,28 @@ package mapreduce
 
 import (
 	"fmt"
-	"time"
 
 	"eant/internal/sim"
 )
 
-// This file is the driver's warm-run path: Reset returns an already-built
-// driver to the state NewDriver(cluster, sched, cfg) leaves it in, reusing
-// every long-lived allocation — the engine's calendar queue and event pool,
-// the cluster and meter arrays, the HDFS namespace (with retired files
-// recycled by job ID), the aggregate buffers, and (via Run's warm gate) the
-// Job/Task structures themselves. A warm run must be byte-identical to a
-// cold one: every RNG stream is rewound to the label-derived seed NewDriver
-// would fork, and every piece of state either reproduces its freshly
-// constructed value exactly or is re-derived by the same code path.
+// This file is the single initializer of every piece of per-run state.
+// NewDriver, newJob and initAggregates only allocate (the engine, cluster
+// reference, meter, namespace, aggregate buffers, Job/Task arrays) and then
+// call Reset, resetForRun and resetAggregates below, so a cold run is a
+// warm run on zeroed memory: there is no second copy of the initial state
+// to drift. A warm Reset reuses every long-lived allocation — the engine's
+// calendar queue and event pool, the cluster and meter arrays, the HDFS
+// namespace (retired files recycled by job ID), the aggregate buffers, and
+// (via Run's warm gate) the Job/Task structures — and must still leave the
+// driver in exactly the state a cold one starts from; TestWarmEqualsCold
+// and the committed goldens check that from outside.
 
-// Reset rewires the driver for another run with the given scheduler and
-// configuration. The cluster is kept (machines reset in place); the job
-// list is kept too and reused by the next Run when its specs match. The
-// scheduler must itself be reset (or fresh) — the driver cannot see policy
-// state. On error the driver is left partially reset and must not be run.
+// Reset configures the driver for a run with the given scheduler and
+// configuration; NewDriver calls it on a freshly allocated driver. The
+// cluster is kept (machines reset in place); the job list is kept too and
+// reused by the next Run when its specs match. The scheduler must itself
+// be reset (or fresh) — the driver cannot see policy state. On error the
+// driver is left partially reset and must not be run.
 func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 	cfg.setDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -36,10 +38,12 @@ func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 	staleEst := cfg.NetShareDivisor != d.cfg.NetShareDivisor
 	d.cfg = cfg
 
-	// ForkSeed(seed, label) is exactly the seed NewRNG(seed).Fork(label)
-	// produces, and is independent of fork order, so rewinding each stream
-	// reproduces NewDriver's root-fork tree without a root RNG.
+	// Every random stream is seeded with ForkSeed(seed, label): the seed
+	// NewRNG(seed).Fork(label) produces, independent of fork order.
 	d.engine.Reset()
+	// Calendar buckets sized to the dominant event period: heartbeats,
+	// completions and shuffle transitions land in the O(1) ring; control
+	// ticks and far-future submissions take the overflow band.
 	d.engine.SetBucketWidth(cfg.Heartbeat)
 	d.cluster.Reset()
 	d.meter.Reset()
@@ -49,16 +53,13 @@ func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 	if err := d.faults.Reset(cfg.Fault, sim.ForkSeed(cfg.Seed, "fault")); err != nil {
 		return err
 	}
-	d.ns.Reset(sim.ForkSeed(cfg.Seed, "hdfs"))
+	d.ns.Reset(sim.ForkSeed(cfg.Seed, "hdfs"), cfg.Replication)
 	d.local.Reseed(sim.ForkSeed(cfg.Seed, "locality"))
 	d.ctx.Rng.Reseed(sim.ForkSeed(cfg.Seed, "sched"))
 
 	d.sched = sched
 	d.probe = cfg.Probe
-	d.slotObs = nil
-	if obs, ok := sched.(SlotObserver); ok {
-		d.slotObs = obs
-	}
+	d.slotObs, _ = sched.(SlotObserver)
 	d.totalSlots = d.cluster.TotalSlots()
 	d.totalMapSlots = d.cluster.TotalMapSlots()
 	d.totalReduceSlots = d.cluster.TotalReduceSlots()
@@ -66,59 +67,38 @@ func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 	clear(d.intervalAssign)
 	d.unsubmit = 0
 	d.tickOffset = 0
-	for i := range d.active {
-		d.active[i] = nil
-	}
+	clear(d.active)
 	d.active = d.active[:0]
 
+	n := d.cluster.Size()
 	if d.faults.Enabled() {
-		if d.blacklistUntil == nil {
-			d.blacklistUntil = make([]time.Duration, d.cluster.Size())
-			d.failCount = make([]int, d.cluster.Size())
-		} else {
-			for i := range d.blacklistUntil {
-				d.blacklistUntil[i] = 0
-				d.failCount[i] = 0
-			}
-		}
+		d.blacklistUntil = zeroed(d.blacklistUntil, n)
+		d.failCount = zeroed(d.failCount, n)
 	} else {
-		d.blacklistUntil = nil
-		d.failCount = nil
+		d.blacklistUntil, d.failCount = nil, nil
 	}
 
-	// Placement constraints were dropped by ns.Reset; re-derive them in
-	// NewDriver's order (exclusions, then the covering subset).
+	// ns.Reset dropped the placement constraints; derive them (exclusions,
+	// then the covering subset) before Run places any input.
 	for _, typeName := range cfg.ComputeOnlyTypes {
 		for _, m := range d.cluster.ByType(typeName) {
 			d.ns.ExcludeFromPlacement(m.ID())
 		}
 	}
 	if cfg.Power.Enabled {
-		if d.covering == nil {
-			d.covering = make([]bool, d.cluster.Size())
-			d.lastBusy = make([]time.Duration, d.cluster.Size())
-		} else {
-			for i := range d.covering {
-				d.covering[i] = false
-				d.lastBusy[i] = 0
-			}
-		}
+		d.covering = zeroed(d.covering, n)
+		d.lastBusy = zeroed(d.lastBusy, n)
 		var coveringIDs []int
 		for _, name := range d.cluster.TypeNames() {
 			machines := d.cluster.ByType(name)
-			n := cfg.Power.CoveringPerType
-			if n > len(machines) {
-				n = len(machines)
-			}
-			for i := 0; i < n; i++ {
-				d.covering[machines[i].ID()] = true
-				coveringIDs = append(coveringIDs, machines[i].ID())
+			for _, m := range machines[:min(cfg.Power.CoveringPerType, len(machines))] {
+				d.covering[m.ID()] = true
+				coveringIDs = append(coveringIDs, m.ID())
 			}
 		}
 		d.ns.PreferFirstReplicaOn(coveringIDs)
 	} else {
-		d.covering = nil
-		d.lastBusy = nil
+		d.covering, d.lastBusy = nil, nil
 	}
 
 	d.staleEstimates = staleEst
@@ -129,22 +109,27 @@ func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 	return nil
 }
 
-// resetAggregates re-seeds the aggregate state for the fully-awake fleet,
-// reproducing initAggregates over the kept buffers. The type table
-// (typeReps, typeIdx) is a pure function of the cluster and stays.
+// zeroed returns s cleared, or a new length-n slice when s is nil.
+func zeroed[T any](s []T, n int) []T {
+	if s == nil {
+		return make([]T, n)
+	}
+	clear(s)
+	return s
+}
+
+// resetAggregates seeds the aggregate state for the fully-awake fleet in
+// the buffers initAggregates sized. The type table (typeReps, typeIdx) is
+// a pure function of the cluster and stays.
 func (d *Driver) resetAggregates() {
 	a := &d.agg
-	for i := range a.class {
-		a.class[i] = classAwake
-	}
+	clear(a.class) // classAwake is the zero class
 	a.byClass = [numClasses]classSlots{}
 	a.pendingMaps = 0
 	a.pendingReduces = 0
 	a.readyPendingReduces = 0
 	a.epoch = 0
-	for i := range a.freeReduceByType {
-		a.freeReduceByType[i] = 0
-	}
+	clear(a.freeReduceByType)
 	awake := &a.byClass[classAwake]
 	for _, m := range d.cluster.Machines() {
 		spec := m.Spec()
@@ -158,14 +143,15 @@ func (d *Driver) resetAggregates() {
 	}
 }
 
-// resetForRun rebuilds j's run state in place for a warm rerun of the same
-// spec: every Task is overwritten with its newJob initial value (stale
-// pendingEvent handles are inert — the engine reset bumped their
-// generation), the pending FIFOs and locality index are rebuilt by
-// overwrite in newJob's exact order, and speculative clones (separate
-// allocations) are dropped with the cleared runningSet. replicasOf
-// supplies the re-placed block locations; staleEst drops the memoized
-// reduce estimates when the run config changed their inputs.
+// resetForRun initializes j's run state for a run of its spec; newJob
+// calls it on fresh arrays, and Run's warm gate on a retained job. Every
+// Task is overwritten with its initial value (stale pendingEvent handles
+// are inert — the engine reset bumped their generation), the pending FIFOs
+// and locality index are rebuilt by overwrite in task order, and
+// speculative clones (separate allocations) are dropped with the cleared
+// runningSet. replicasOf supplies the placed block locations; staleEst
+// drops the memoized reduce estimates when the run config changed their
+// inputs.
 func (j *Job) resetForRun(replicasOf func(block int) []int, staleEst bool) {
 	j.Submitted, j.FirstStart, j.MapsDoneAt, j.LastShuffleEnd, j.Finished = 0, 0, 0, 0, 0
 	j.mapsDone, j.reducesDone = 0, 0

@@ -218,11 +218,17 @@ type Job struct {
 	reduceEst map[*cluster.TypeSpec]float64
 }
 
-// newJob materializes tasks for a spec. Block replica locations are
-// supplied per map index via replicasOf (from the HDFS namespace).
+// newJob allocates a job's task arrays, index slices and maps for spec and
+// initializes them with resetForRun. Block replica locations are supplied
+// per map index via replicasOf (from the HDFS namespace).
 func newJob(spec workload.JobSpec, replicasOf func(block int) []int) *Job {
 	j := &Job{
 		Spec:             spec,
+		Maps:             make([]*Task, spec.NumMaps),
+		Reduces:          make([]*Task, spec.NumReduces),
+		pendingMaps:      make([]int, 0, spec.NumMaps),
+		pendingReduces:   make([]int, 0, spec.NumReduces),
+		mapReplicas:      make([][]int, spec.NumMaps),
 		localPending:     make(map[int][]int),
 		runningByMachine: make(map[int]int),
 		runningSet:       make(map[*Task]struct{}),
@@ -231,39 +237,15 @@ func newJob(spec workload.JobSpec, replicasOf func(block int) []int) *Job {
 	// heap object per task. The arrays are never resized, so the *Task
 	// pointers handed out below stay valid for the job's lifetime
 	// (speculative clones are separate allocations made at clone time).
-	j.Maps = make([]*Task, spec.NumMaps)
-	j.pendingMaps = make([]int, spec.NumMaps)
-	j.mapReplicas = make([][]int, spec.NumMaps)
 	maps := make([]Task, spec.NumMaps)
-	for i := 0; i < spec.NumMaps; i++ {
-		maps[i] = Task{
-			Job:     j,
-			Index:   i,
-			Kind:    MapTask,
-			InputMB: spec.MapInputMB(i),
-			State:   TaskPending,
-		}
+	for i := range maps {
 		j.Maps[i] = &maps[i] //eant:retain-ok batch array sized to NumMaps above and never appended to
-		j.pendingMaps[i] = i
-		j.mapReplicas[i] = replicasOf(i)
-		for _, machineID := range j.mapReplicas[i] {
-			j.localPending[machineID] = append(j.localPending[machineID], i)
-		}
 	}
-	j.Reduces = make([]*Task, spec.NumReduces)
-	j.pendingReduces = make([]int, spec.NumReduces)
 	reduces := make([]Task, spec.NumReduces)
-	for i := 0; i < spec.NumReduces; i++ {
-		reduces[i] = Task{
-			Job:     j,
-			Index:   i,
-			Kind:    ReduceTask,
-			InputMB: spec.ShuffleMBPerReduce(),
-			State:   TaskPending,
-		}
+	for i := range reduces {
 		j.Reduces[i] = &reduces[i] //eant:retain-ok batch array sized to NumReduces above and never appended to
-		j.pendingReduces[i] = i
 	}
+	j.resetForRun(replicasOf, false)
 	return j
 }
 

@@ -67,34 +67,34 @@ func (c Config) Enabled() bool {
 	return c.DurationCV > 0 || c.StragglerProb > 0 || c.MeasurementCV > 0
 }
 
-// Model draws noise factors from a dedicated RNG stream.
+// Model draws noise factors from a dedicated RNG stream. The zero Model is
+// ready for use after its first Reset.
 type Model struct {
 	cfg Config
-	rng *sim.RNG
+	rng sim.RNG
 }
 
-// NewModel returns a noise model; cfg must validate.
-func NewModel(cfg Config, rng *sim.RNG) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
+// NewModel returns a noise model drawing from a stream seeded with seed;
+// cfg must validate.
+func NewModel(cfg Config, seed int64) (*Model, error) {
+	m := new(Model)
+	if err := m.Reset(cfg, seed); err != nil {
 		return nil, err
 	}
-	return &Model{cfg: cfg, rng: rng}, nil
+	return m, nil
 }
 
 // MustNewModel is NewModel for static configurations.
-func MustNewModel(cfg Config, rng *sim.RNG) *Model {
-	m, err := NewModel(cfg, rng)
+func MustNewModel(cfg Config, seed int64) *Model {
+	m, err := NewModel(cfg, seed)
 	if err != nil {
 		panic(err)
 	}
 	return m
 }
 
-// Config returns the model's configuration.
-func (m *Model) Config() Config { return m.cfg }
-
-// Reset reconfigures the model in place and rewinds its RNG stream to the
-// given seed, exactly reproducing a fresh NewModel(cfg, NewRNG(seed)).
+// Reset configures the model and rewinds its RNG stream to the given seed.
+// It is the model's only initializer: NewModel is Reset on a zero Model.
 func (m *Model) Reset(cfg Config, seed int64) error {
 	if err := cfg.Validate(); err != nil {
 		return err

@@ -18,7 +18,9 @@ type RNG struct {
 
 // NewRNG returns a source seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed)), seed: seed}
+	g := new(RNG)
+	g.Reseed(seed)
+	return g
 }
 
 // Fork derives an independent stream for the named subsystem. The child
@@ -36,10 +38,15 @@ func ForkSeed(parent int64, label string) int64 {
 }
 
 // Reseed rewinds the stream to the state NewRNG(seed) starts in, reusing
-// the underlying generator. After Reseed the draw sequence is identical to
-// a freshly constructed stream's.
+// the underlying generator once one exists. After Reseed the draw sequence
+// is identical to a freshly constructed stream's. A zero RNG is ready for
+// use after its first Reseed.
 func (g *RNG) Reseed(seed int64) {
-	g.r.Seed(seed)
+	if g.r == nil {
+		g.r = rand.New(rand.NewSource(seed))
+	} else {
+		g.r.Seed(seed)
+	}
 	g.seed = seed
 }
 
