@@ -478,11 +478,11 @@ func scaledTestbed(tb testing.TB, factor int) *Cluster {
 	return c
 }
 
-// scaleRun runs one cell of the scale grid and reports ns/offer: wall
-// time divided by scheduler slot offers (AssignMap+AssignReduce calls),
-// the per-heartbeat hot path. Flat ns/offer across cluster sizes is the
-// O(1)-assignment claim the incremental aggregates and per-interval
-// indices exist to deliver.
+// scaleRun runs one cell of the scale grid and reports ns/task: wall time
+// divided by completed tasks. The heartbeat sweep consults the scheduler
+// only while work of that kind is pending, so a run's cost follows its
+// tasks, not machines × heartbeats; flat ns/task across cluster sizes is
+// that claim.
 //
 // Each cell measures the warm-run steady state: the world (cluster,
 // driver, scheduler) is built and primed once before the timer, and every
@@ -506,18 +506,18 @@ func scaleRun(b *testing.B, sched Scheduler, factor, jobs int) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	offers := 0
+	tasks := 0
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		r, err := runner.Run(spec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		offers += r.Stats.MapOffers + r.Stats.ReduceOffers
+		tasks += r.Stats.TasksDone()
 	}
 	elapsed := time.Since(start)
-	if offers > 0 {
-		b.ReportMetric(float64(elapsed.Nanoseconds())/float64(offers), "ns/offer")
+	if tasks > 0 {
+		b.ReportMetric(float64(elapsed.Nanoseconds())/float64(tasks), "ns/task")
 	}
 }
 
@@ -534,7 +534,7 @@ func BenchmarkScale(b *testing.B) {
 }
 
 // BenchmarkScaleBaselines sweeps the comparison schedulers over the same
-// grid so E-Ant's per-offer cost can be read against policies without
+// grid so E-Ant's per-task cost can be read against policies without
 // pheromone state.
 func BenchmarkScaleBaselines(b *testing.B) {
 	for _, sched := range []Scheduler{SchedulerFair, SchedulerTarazu} {

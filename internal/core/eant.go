@@ -520,13 +520,6 @@ func (e *EAnt) selectColony(ctx *mapreduce.Context, m cluster.Machine, candidate
 // AssignMap implements mapreduce.Scheduler.
 func (e *EAnt) AssignMap(ctx *mapreduce.Context, m cluster.Machine) *mapreduce.Task {
 	e.init(ctx)
-	// With no pending map anywhere the candidate list below is empty and
-	// selectColony returns nil without drawing randomness; skip the
-	// active-job scan (one offer per free slot on every heartbeat).
-	if ctx.PendingTasks(mapreduce.MapTask) == 0 {
-		return nil
-	}
-
 	pending := e.scratchJobs[:0]
 	for _, j := range ctx.ActiveJobs() {
 		if j.PendingMaps() > 0 {
@@ -548,11 +541,6 @@ const slowReduceFactor = 2.0
 // AssignReduce implements mapreduce.Scheduler.
 func (e *EAnt) AssignReduce(ctx *mapreduce.Context, m cluster.Machine) *mapreduce.Task {
 	e.init(ctx)
-	// Ready-reduce count is maintained incrementally by the driver; zero
-	// means ReduceReady holds for no job, so the scan would yield nothing.
-	if ctx.ReadyReduceTasks() == 0 {
-		return nil
-	}
 	ready := e.scratchJobs[:0]
 	for _, j := range ctx.ActiveJobs() {
 		if ctx.ReduceReady(j) {

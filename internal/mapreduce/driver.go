@@ -217,9 +217,11 @@ type Driver struct {
 	mapEst   map[mapEstKey]float64
 
 	// slotObs receives free-slot change notifications when the scheduler
-	// implements SlotObserver; onMutation is the test-only invariant hook
-	// (EnableInvariantChecks).
+	// implements SlotObserver; speculator is asked for a speculative clone
+	// on free slots the scheduler left empty when it implements Speculator;
+	// onMutation is the test-only invariant hook (EnableInvariantChecks).
 	slotObs    SlotObserver
+	speculator Speculator
 	onMutation func(where string) //eant:reset-keep test-only hook installed for the driver's lifetime
 
 	// staleEstimates is set by Reset when the new config invalidates the
@@ -342,8 +344,8 @@ func (d *Driver) Run(specs []workload.JobSpec, horizon time.Duration) (*Stats, e
 
 func (d *Driver) finished() bool { return d.unsubmit == 0 && len(d.active) == 0 }
 
-// heartbeatTick is the per-tick heartbeat sweep event: it serves every
-// machine's free slots in one pass, then reschedules itself one heartbeat
+// heartbeatTick is the per-tick heartbeat sweep event: it serves the
+// machines' free slots in one pass, then reschedules itself one heartbeat
 // out (fire, then reschedule: the order that fixes the (at, seq) event
 // stream). The self-chain ends when the run finishes.
 func (d *Driver) heartbeatTick() {
@@ -386,12 +388,21 @@ func (d *Driver) submit(j *Job) {
 // freshest task queues. The rotation is two contiguous passes over the
 // machine slice rather than a modulo walk: at 1024 machines the per-tick
 // index arithmetic is itself measurable.
+//
+// A tick with nothing to assign skips the walk. That needs no pending map,
+// no ready reduce and no speculator, and also no per-machine timed work:
+// consolidation sleeps and blacklist expiry happen in sweep order, so runs
+// with either keep the walk and rely on sweep's per-kind gate alone.
 func (d *Driver) serveHeartbeats() {
 	machines := d.cluster.Machines()
 	n := len(machines)
 	d.tickOffset = (d.tickOffset + 1) % n
-	d.sweep(machines[d.tickOffset:])
-	d.sweep(machines[:d.tickOffset])
+	idle := d.agg.pendingMaps == 0 && d.agg.readyPendingReduces == 0 &&
+		d.speculator == nil && !d.cfg.Power.Enabled && d.blacklistUntil == nil
+	if !idle {
+		d.sweep(machines[d.tickOffset:])
+		d.sweep(machines[:d.tickOffset])
+	}
 	// Machine sampling piggybacks on the heartbeat sweep: no extra engine
 	// events, so the (at, seq) order of the run is untouched.
 	if d.probe != nil && d.probe.ShouldSample() {
@@ -400,12 +411,11 @@ func (d *Driver) serveHeartbeats() {
 }
 
 // sweep offers every free slot of the given machines to the scheduler, in
-// slice order. Per-tick invariants (power management off, no blacklist,
-// probes disabled) are hoisted out of the per-machine body.
+// slice order. Per-tick invariants (power management off, no blacklist)
+// are hoisted out of the per-machine body.
 func (d *Driver) sweep(machines []cluster.Machine) {
 	powerOn := d.cfg.Power.Enabled
 	blacklistOn := d.blacklistUntil != nil
-	probe := d.probe
 	for _, m := range machines {
 		if !m.Available() {
 			continue
@@ -424,28 +434,52 @@ func (d *Driver) sweep(machines []cluster.Machine) {
 			continue
 		}
 		for m.FreeMapSlots() > 0 {
-			d.stats.MapOffers++
-			if probe != nil {
-				probe.Offer(d.engine.Now(), m.ID(), int8(MapTask), d.agg.pendingMaps)
-			}
-			t := d.sched.AssignMap(d.ctx, m)
+			t := d.offer(m, MapTask, d.agg.pendingMaps)
 			if t == nil {
 				break
 			}
 			d.startMap(t, m)
 		}
 		for m.FreeReduceSlots() > 0 {
-			d.stats.ReduceOffers++
-			if probe != nil {
-				probe.Offer(d.engine.Now(), m.ID(), int8(ReduceTask), d.agg.readyPendingReduces)
-			}
-			t := d.sched.AssignReduce(d.ctx, m)
+			t := d.offer(m, ReduceTask, d.agg.readyPendingReduces)
 			if t == nil {
 				break
 			}
 			d.startReduce(t, m)
 		}
 	}
+}
+
+// offer makes one free slot of the given kind on m to the scheduler and
+// returns the task to start there, or nil. work is the count of tasks the
+// scheduler could place in it (pending maps or ready reduces): only while
+// it is positive is AssignMap/AssignReduce consulted, and a speculator is
+// then asked for a clone when that returns nil. With neither, no offer is
+// made and none is counted.
+func (d *Driver) offer(m cluster.Machine, kind TaskKind, work int) *Task {
+	if work == 0 && d.speculator == nil {
+		return nil
+	}
+	if kind == MapTask {
+		d.stats.MapOffers++
+	} else {
+		d.stats.ReduceOffers++
+	}
+	if d.probe != nil {
+		d.probe.Offer(d.engine.Now(), m.ID(), int8(kind), work)
+	}
+	var t *Task
+	if work > 0 {
+		if kind == MapTask {
+			t = d.sched.AssignMap(d.ctx, m)
+		} else {
+			t = d.sched.AssignReduce(d.ctx, m)
+		}
+	}
+	if t == nil && d.speculator != nil {
+		t = d.speculator.Speculate(d.ctx, m, kind)
+	}
+	return t
 }
 
 // sampleMachines records one utilization/energy/slot sample per machine,

@@ -60,6 +60,7 @@ func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 	d.sched = sched
 	d.probe = cfg.Probe
 	d.slotObs, _ = sched.(SlotObserver)
+	d.speculator, _ = sched.(Speculator)
 	d.totalSlots = d.cluster.TotalSlots()
 	d.totalMapSlots = d.cluster.TotalMapSlots()
 	d.totalReduceSlots = d.cluster.TotalReduceSlots()

@@ -11,18 +11,22 @@ import (
 )
 
 // Scheduler is the task-assignment policy plugged into the JobTracker.
-// AssignMap/AssignReduce are called once per free slot per heartbeat; a
-// scheduler hands back a task popped from some job's pending queue, or nil
-// to leave the slot idle until the next heartbeat (how E-Ant starves
-// energy-inefficient machines). OnTaskComplete delivers the task-level
-// energy feedback each TaskTracker reports; OnControlTick fires every
-// control interval for policy refresh.
+// AssignMap/AssignReduce are called once per free slot per heartbeat, and
+// only while work of that kind exists: AssignMap while
+// Context.PendingTasks(MapTask) > 0, AssignReduce while
+// Context.ReadyReduceTasks() > 0. A scheduler hands back a task popped from
+// some job's pending queue, or nil to leave the slot idle until the next
+// heartbeat (how E-Ant starves energy-inefficient machines). OnTaskComplete
+// delivers the task-level energy feedback each TaskTracker reports;
+// OnControlTick fires every control interval for policy refresh.
 type Scheduler interface {
 	// Name identifies the policy in reports ("Fair", "Tarazu", "E-Ant"...).
 	Name() string
-	// AssignMap selects a pending map task to run on m, or nil.
+	// AssignMap selects a pending map task to run on m, or nil. It is
+	// called only while some active job has a pending map.
 	AssignMap(ctx *Context, m cluster.Machine) *Task
-	// AssignReduce selects a ready reduce task to run on m, or nil.
+	// AssignReduce selects a ready reduce task to run on m, or nil. It is
+	// called only while some active job's reduces are ready.
 	AssignReduce(ctx *Context, m cluster.Machine) *Task
 	// OnTaskComplete observes a finished task with its energy estimate.
 	OnTaskComplete(ctx *Context, t *Task)
@@ -37,6 +41,17 @@ type Scheduler interface {
 // rescanning machines on every offer.
 type SlotObserver interface {
 	OnSlotFreeChange(ctx *Context, m cluster.Machine, kind TaskKind, delta int)
+}
+
+// Speculator is an optional Scheduler extension for speculative
+// execution. The driver calls Speculate on a free slot of the given kind
+// whenever the scheduler placed no task there: AssignMap/AssignReduce
+// returned nil, or was not called because no work of that kind exists.
+// Speculate returns a clone made by Context.CloneForSpeculation, or nil to
+// leave the slot idle. Installing one keeps every heartbeat sweeping the
+// fleet, since a clone may be wanted while nothing is pending.
+type Speculator interface {
+	Speculate(ctx *Context, m cluster.Machine, kind TaskKind) *Task
 }
 
 // mapEstKey keys the driver's memo of map-service estimates: workload
@@ -84,8 +99,7 @@ func (c *Context) ReduceReady(j *Job) bool {
 
 // ReadyReduceTasks returns the cluster-wide count of pending reduces on
 // jobs whose slowstart gate is open — zero exactly when no job satisfies
-// ReduceReady, letting schedulers skip the active-job scan on idle-reduce
-// heartbeats.
+// ReduceReady, and the driver then makes no AssignReduce call.
 func (c *Context) ReadyReduceTasks() int {
 	return c.driver.agg.readyPendingReduces
 }
@@ -173,11 +187,12 @@ func (c *Context) Requeue(t *Task) {
 }
 
 // CloneForSpeculation creates a speculative copy of a straggling running
-// attempt, to be returned from AssignMap/AssignReduce like a pending
-// task. The first of the pair to finish wins; the driver kills the
-// other. It returns nil when the attempt cannot be speculated: not
-// running, already part of a race, or a reduce whose job's map barrier
-// has not passed (its shuffle data is not fully available to re-pull).
+// attempt, to be returned from Speculator.Speculate (or AssignMap/
+// AssignReduce) like a pending task. The first of the pair to finish
+// wins; the driver kills the other. It returns nil when the attempt
+// cannot be speculated: not running, already part of a race, or a reduce
+// whose job's map barrier has not passed (its shuffle data is not fully
+// available to re-pull).
 func (c *Context) CloneForSpeculation(orig *Task) *Task {
 	if orig == nil || orig.State != TaskRunning || orig.clone != nil || orig.original != nil {
 		return nil

@@ -13,10 +13,11 @@ import (
 )
 
 // eagerCloner is a pathological speculation policy for race/fault
-// interaction tests: before assigning fresh work it clones any running
-// map attempt hosted on a different machine, forcing the driver to
-// resolve a speculation race for nearly every map — including races whose
-// members die to attempt failures or machine crashes mid-flight.
+// interaction tests: before assigning fresh work, and on every map slot
+// left empty, it clones any running map attempt hosted on a different
+// machine, forcing the driver to resolve a speculation race for nearly
+// every map — including races whose members die to attempt failures or
+// machine crashes mid-flight.
 type eagerCloner struct {
 	inner mapreduce.Scheduler
 }
@@ -24,6 +25,17 @@ type eagerCloner struct {
 func (s *eagerCloner) Name() string { return "eager-clone" }
 
 func (s *eagerCloner) AssignMap(ctx *mapreduce.Context, m cluster.Machine) *mapreduce.Task {
+	if c := s.Speculate(ctx, m, mapreduce.MapTask); c != nil {
+		return c
+	}
+	return s.inner.AssignMap(ctx, m)
+}
+
+// Speculate implements mapreduce.Speculator; only maps are cloned.
+func (s *eagerCloner) Speculate(ctx *mapreduce.Context, m cluster.Machine, kind mapreduce.TaskKind) *mapreduce.Task {
+	if kind != mapreduce.MapTask {
+		return nil
+	}
 	for _, j := range ctx.ActiveJobs() {
 		for _, t := range j.RunningAttempts(mapreduce.MapTask) {
 			if t.Machine.Valid() && t.Machine.ID() != m.ID() {
@@ -33,7 +45,7 @@ func (s *eagerCloner) AssignMap(ctx *mapreduce.Context, m cluster.Machine) *mapr
 			}
 		}
 	}
-	return s.inner.AssignMap(ctx, m)
+	return nil
 }
 
 func (s *eagerCloner) AssignReduce(ctx *mapreduce.Context, m cluster.Machine) *mapreduce.Task {

@@ -116,9 +116,10 @@ type Stats struct {
 	LocalMaps int
 	TotalMaps int
 
-	// MapOffers / ReduceOffers count scheduler slot offers (AssignMap /
-	// AssignReduce calls) — the hot-path operation the scale benchmarks
-	// divide by to report ns/offer.
+	// MapOffers / ReduceOffers count slot offers on which the scheduler
+	// was consulted: AssignMap/AssignReduce called while work of that kind
+	// exists, or a Speculator asked for a clone. A free slot with nothing
+	// of its kind to place is neither offered nor counted.
 	MapOffers    int
 	ReduceOffers int
 

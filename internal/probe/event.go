@@ -10,7 +10,8 @@ type Kind uint8
 
 // Event kinds, in rough decision-loop order.
 const (
-	// KindOffer is one free-slot offer to the scheduler.
+	// KindOffer is one free-slot offer on which the scheduler was
+	// consulted; a free slot with nothing of its kind pending gets none.
 	KindOffer Kind = iota + 1
 	// KindDraw is one roulette draw of E-Ant's colony selection.
 	KindDraw

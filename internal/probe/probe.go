@@ -41,7 +41,7 @@ var (
 	// DefaultWaitBounds buckets task queue wait (submit → start) in seconds.
 	DefaultWaitBounds = []float64{1, 2, 5, 10, 30, 60, 120, 300, 600, 1800, 3600}
 	// DefaultGapBounds buckets per-machine offer gaps in seconds: the time
-	// between successive slot offers to the same machine (offer latency).
+	// between successive consulted slot offers to the same machine.
 	DefaultGapBounds = []float64{1, 3, 6, 15, 30, 60, 120, 300, 900}
 )
 
@@ -159,9 +159,11 @@ func (p *Probe) record(ev Event) {
 	}
 }
 
-// Offer records a free-slot offer on a machine (one AssignMap/AssignReduce
-// call) and feeds the offer-gap histogram with the time since the
-// machine's previous offer.
+// Offer records a free-slot offer on a machine on which the scheduler was
+// consulted (an AssignMap/AssignReduce or Speculate call) and feeds the
+// offer-gap histogram with the time since the machine's previous offer.
+// The driver makes no offer while no task of the kind is pending, so the
+// gaps measure how long a machine waits between chances at real work.
 func (p *Probe) Offer(at time.Duration, machineID int, kind int8, pending int) {
 	if p == nil {
 		return

@@ -34,7 +34,10 @@ func NewLATE() *LATE {
 	return &LATE{SpeculationFactor: 1.5, MaxSpeculativeFraction: 0.1}
 }
 
-var _ mapreduce.Scheduler = (*LATE)(nil)
+var (
+	_ mapreduce.Scheduler  = (*LATE)(nil)
+	_ mapreduce.Speculator = (*LATE)(nil)
+)
 
 // Name implements mapreduce.Scheduler.
 func (l *LATE) Name() string { return "LATE" }
@@ -45,26 +48,20 @@ func (l *LATE) ResetForRun() {
 	l.fair.ResetForRun()
 }
 
-// AssignMap implements mapreduce.Scheduler: normal fair assignment first,
-// speculation only with spare slots.
+// AssignMap implements mapreduce.Scheduler with Fair's assignment.
 func (l *LATE) AssignMap(ctx *mapreduce.Context, m cluster.Machine) *mapreduce.Task {
-	if t := l.fair.AssignMap(ctx, m); t != nil {
-		return t
-	}
-	return l.speculate(ctx, m, mapreduce.MapTask)
+	return l.fair.AssignMap(ctx, m)
 }
 
-// AssignReduce implements mapreduce.Scheduler.
+// AssignReduce implements mapreduce.Scheduler with Fair's assignment.
 func (l *LATE) AssignReduce(ctx *mapreduce.Context, m cluster.Machine) *mapreduce.Task {
-	if t := l.fair.AssignReduce(ctx, m); t != nil {
-		return t
-	}
-	return l.speculate(ctx, m, mapreduce.ReduceTask)
+	return l.fair.AssignReduce(ctx, m)
 }
 
-// speculate scans active jobs (submission order) for the worst straggler
-// of the given kind whose clone could run on m, and clones it.
-func (l *LATE) speculate(ctx *mapreduce.Context, m cluster.Machine, kind mapreduce.TaskKind) *mapreduce.Task {
+// Speculate implements mapreduce.Speculator: on a slot Fair left empty, it
+// scans active jobs (submission order) for the worst straggler of the
+// given kind whose clone could run on m, and clones it.
+func (l *LATE) Speculate(ctx *mapreduce.Context, m cluster.Machine, kind mapreduce.TaskKind) *mapreduce.Task {
 	now := ctx.Now()
 	var worst *mapreduce.Task
 	worstRatio := l.SpeculationFactor

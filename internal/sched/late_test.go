@@ -177,14 +177,19 @@ func TestLATESurvivesStragglersAndFaults(t *testing.T) {
 }
 
 // cloneEverything is a pathological scheduler that speculates any running
-// attempt whenever it has no pending work, with no straggler threshold.
+// map attempt whenever it has no pending work, with no straggler threshold.
 type cloneEverything struct{ fair sched.Fair }
 
 func (c *cloneEverything) Name() string { return "CloneEverything" }
 
 func (c *cloneEverything) AssignMap(ctx *mapreduce.Context, m cluster.Machine) *mapreduce.Task {
-	if t := c.fair.AssignMap(ctx, m); t != nil {
-		return t
+	return c.fair.AssignMap(ctx, m)
+}
+
+// Speculate implements mapreduce.Speculator; only maps are cloned.
+func (c *cloneEverything) Speculate(ctx *mapreduce.Context, _ cluster.Machine, kind mapreduce.TaskKind) *mapreduce.Task {
+	if kind != mapreduce.MapTask {
+		return nil
 	}
 	for _, j := range ctx.ActiveJobs() {
 		for _, t := range j.RunningAttempts(mapreduce.MapTask) {

@@ -48,3 +48,29 @@ func TestScaleSweepParallel(t *testing.T) {
 		}
 	}
 }
+
+// TestOffersTrackWork pins the heartbeat sweep's cost to the work: on a
+// 256-machine fleet that sits idle between MSD arrivals, E-Ant is offered
+// a slot only while a task of that kind is pending, so offers stay within
+// 5% of the tasks run (an ungated sweep makes about 36 per task). LATE
+// keeps consulting its Speculator on every free slot, so its offer and
+// clone counts must stay at their values from before the gate.
+func TestOffersTrackWork(t *testing.T) {
+	run := func(s Scheduler) *Result {
+		r, err := Run(RunSpec{Cluster: scaledTestbed(t, 16), Scheduler: s, Jobs: MSDWorkload(20, 7), Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	st := run(SchedulerEAnt).Stats
+	offers, tasks := st.MapOffers+st.ReduceOffers, st.TasksDone()
+	if tasks == 0 || float64(offers) > 1.05*float64(tasks) {
+		t.Errorf("E-Ant: %d offers (%d map + %d reduce) for %d tasks, want at most 1.05 per task",
+			offers, st.MapOffers, st.ReduceOffers, tasks)
+	}
+	late := run(SchedulerLATE).Stats
+	if late.MapOffers != 94157 || late.SpeculativeStarted != 202 {
+		t.Errorf("LATE: %d map offers and %d clones, want 94157 and 202", late.MapOffers, late.SpeculativeStarted)
+	}
+}
