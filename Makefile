@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-baseline vet fmt check bench-smoke bench cover
+.PHONY: all build test bench-harness race lint lint-baseline vet fmt check bench-smoke bench cover
 
 all: check
 
@@ -13,6 +13,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The benchmark harness is its own module (_perfbench/go.mod); its
+# self-tests catch a refactor that breaks the names it calls.
+bench-harness:
+	cd _perfbench && $(GO) test ./...
 
 race:
 	$(GO) test -race -shuffle=on ./...
@@ -36,7 +41,7 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-check: fmt vet build lint test
+check: fmt vet build lint test bench-harness
 
 bench-smoke:
 	$(GO) test -run xxx -bench SimulatorThroughput -benchtime=1x -benchmem .

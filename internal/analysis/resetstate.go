@@ -35,7 +35,6 @@ var resetRoster = map[string][]resetTarget{
 		{typ: "EAnt", fn: "ResetForRun", recv: "EAnt"},
 		{typ: "Matrix", fn: "Clear", recv: "Matrix"},
 		{typ: "colony", fn: "colonyFor", recv: "Matrix"},
-		{typ: "hostIndex", fn: "colonyFor", recv: "Matrix"},
 	},
 	"eant/internal/sim": {
 		{typ: "Engine", fn: "Reset", recv: "Engine"},

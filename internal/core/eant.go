@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"eant/internal/cluster"
@@ -47,14 +46,6 @@ type EAnt struct {
 	scratchAvail   []bool           //eant:reset-keep scratch, fully overwritten before every read
 	unavailable    []bool           //eant:reset-keep maintained by OnMachineDown/Up, which replay from the driver's reset fault state
 
-	// Per-control-interval index state. Trails only change at the control
-	// tick, so each map colony's trail-ranked host view (hostIndex) is
-	// valid for a whole interval; tickSeq stamps indices with the interval
-	// they were built in (starting at 1 so a zero-valued stamp never
-	// matches), and indexed lists the colonies holding a current-interval
-	// index so slot-change notifications can keep their free counters live.
-	tickSeq uint64
-	indexed []*colony
 	// reduceMeans memoizes, per job ID, the fleet-mean reduce-compute
 	// estimate (static: shuffle volume and specs are fixed at submission).
 	reduceMeans map[int]float64
@@ -62,29 +53,6 @@ type EAnt struct {
 	// activeScratch is the control-tick scratch set of live job IDs,
 	// hoisted to a field so the tick handler allocates nothing.
 	activeScratch map[int]bool
-}
-
-// hostIndex is one map colony's per-control-interval view of the fleet
-// for the decline guard: available machines ranked by trail strength
-// (value descending, machine ID ascending on ties) with prefix-summed map
-// slot capacity and bucketed free-slot counters, so "can the better-trail
-// machines absorb the backlog, and does one have a free slot now" is a
-// binary search plus O(1)-ish counter reads instead of a machine scan.
-type hostIndex struct {
-	tick   uint64 // e.tickSeq when built
-	epoch  uint64 // availability epoch when built (crash/recover invalidates)
-	listed uint64 // e.tickSeq when appended to e.indexed
-
-	ids         []int     //eant:reset-keep rebuilt wholesale when the tick/epoch stamps mismatch
-	vals        []float64 //eant:reset-keep rebuilt wholesale when the tick/epoch stamps mismatch
-	prefixSlots []int     //eant:reset-keep rebuilt wholesale when the tick/epoch stamps mismatch
-	rankOf      []int     //eant:reset-keep rebuilt wholesale when the tick/epoch stamps mismatch
-	freeBuckets []int     //eant:reset-keep rebuilt wholesale when the tick/epoch stamps mismatch
-}
-
-// countAtLeast returns how many ranked machines have trail ≥ threshold.
-func (idx *hostIndex) countAtLeast(threshold float64) int {
-	return sort.Search(len(idx.vals), func(i int) bool { return idx.vals[i] < threshold }) //eant:alloc-ok non-escaping predicate, stack-allocated
 }
 
 // TrailSnapshot is one colony's pheromone row at a control tick.
@@ -121,7 +89,6 @@ func MustNewEAnt(p Params) *EAnt {
 }
 
 var _ mapreduce.Scheduler = (*EAnt)(nil)
-var _ mapreduce.SlotObserver = (*EAnt)(nil)
 
 // ResetForRun returns the scheduler to its pre-run state in place so the
 // same instance can drive another simulation over the same cluster,
@@ -139,11 +106,6 @@ func (e *EAnt) ResetForRun(p Params) error {
 		if err := e.mx.Clear(p); err != nil {
 			return err
 		}
-		e.tickSeq = 1
-		for i := range e.indexed {
-			e.indexed[i] = nil
-		}
-		e.indexed = e.indexed[:0]
 		clear(e.reduceMeans)
 		clear(e.activeScratch)
 	}
@@ -151,28 +113,6 @@ func (e *EAnt) ResetForRun(p Params) error {
 		e.trails = make(map[ColonyKey][]TrailSnapshot)
 	}
 	return nil
-}
-
-// OnSlotFreeChange implements mapreduce.SlotObserver: the driver reports
-// every ±1 free-slot transition, and the current interval's host indices
-// fold it into the affected machine's rank bucket. Indices stamped with an
-// older tick or availability epoch are already invalid (they rebuild on
-// next use) and are left alone. Reduce-slot changes are ignored — only the
-// map decline guard consumes a host index.
-func (e *EAnt) OnSlotFreeChange(ctx *mapreduce.Context, m cluster.Machine, kind mapreduce.TaskKind, delta int) {
-	if kind != mapreduce.MapTask || len(e.indexed) == 0 {
-		return
-	}
-	epoch := ctx.AvailabilityEpoch()
-	for _, c := range e.indexed {
-		idx := c.idx
-		if idx.tick != e.tickSeq || idx.epoch != epoch {
-			continue
-		}
-		if r := idx.rankOf[m.ID()]; r >= 0 {
-			idx.freeBuckets[r>>6] += delta
-		}
-	}
 }
 
 // Name implements mapreduce.Scheduler.
@@ -204,7 +144,6 @@ func (e *EAnt) initSlow(ctx *mapreduce.Context) {
 		panic(err) // params were validated in NewEAnt
 	}
 	e.mx = mx
-	e.tickSeq = 1
 	e.reduceMeans = make(map[int]float64)
 	e.activeScratch = make(map[int]bool)
 	for _, name := range ctx.Cluster.TypeNames() {
@@ -360,101 +299,22 @@ func (e *EAnt) accepts(ctx *mapreduce.Context, j *mapreduce.Job, c *colony, kind
 	return !e.betterHostsAbsorb(ctx, c, m)
 }
 
-// betterHostsAbsorb reports whether the machines whose trail for the
-// colony is meaningfully stronger than m's have enough slot capacity for
-// the fleet-wide pending map work and at least one currently-free map
-// slot — the two conditions under which declining a map assignment cannot
-// cost throughput. Served from the colony's per-interval host index: the
-// trail threshold becomes a rank from a binary search, capacity a prefix
-// sum, and the free-slot existence test a walk over 64-rank counters.
-// m itself never qualifies (threshold > its own trail, trails are > 0),
-// matching the old scan's explicit self-exclusion.
+// betterHostsAbsorb reports whether the available machines whose trail
+// for the colony is meaningfully stronger than m's have enough slot
+// capacity for the fleet-wide pending map work and at least one
+// currently-free map slot — the two conditions under which declining a map
+// assignment cannot cost throughput. m itself never qualifies: the
+// threshold exceeds its own trail, and trails are > 0.
 func (e *EAnt) betterHostsAbsorb(ctx *mapreduce.Context, c *colony, m cluster.Machine) bool {
-	idx := c.idx
-	if idx == nil || idx.tick != e.tickSeq || idx.epoch != ctx.AvailabilityEpoch() {
-		idx = e.buildIndex(ctx, c)
-	}
-	r := idx.countAtLeast(c.row[m.ID()] * betterHostFactor)
-	if ctx.PendingTasks(mapreduce.MapTask) > idx.prefixSlots[r] {
-		return false
-	}
-	return e.anyFreeInRanks(ctx, idx, r)
-}
-
-// anyFreeInRanks reports whether any of the index's first r machines has a
-// free map slot: whole 64-rank buckets answer from their counters, the
-// partial tail bucket is probed machine by machine.
-func (e *EAnt) anyFreeInRanks(ctx *mapreduce.Context, idx *hostIndex, r int) bool {
-	full := r >> 6
-	for b := 0; b < full; b++ {
-		if idx.freeBuckets[b] > 0 {
-			return true
+	threshold := c.row[m.ID()] * betterHostFactor
+	slots, anyFree := 0, false
+	for _, h := range ctx.Cluster.Machines() {
+		if h.Available() && c.row[h.ID()] >= threshold {
+			slots += h.Spec().MapSlots
+			anyFree = anyFree || h.FreeMapSlots() > 0
 		}
 	}
-	machines := ctx.Cluster.Machines()
-	for i := full << 6; i < r; i++ {
-		if machines[idx.ids[i]].FreeMapSlots() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// buildIndex (re)builds the colony's host index for the current control
-// interval and availability epoch, reusing the colony's buffers. Called at
-// most once per map colony per interval on a healthy fleet; a crash or
-// recovery bumps the availability epoch and forces a rebuild on next use.
-func (e *EAnt) buildIndex(ctx *mapreduce.Context, c *colony) *hostIndex {
-	idx := c.idx
-	if idx == nil {
-		idx = &hostIndex{}
-		c.idx = idx
-	}
-	machines := ctx.Cluster.Machines()
-	if cap(idx.rankOf) < len(machines) {
-		idx.rankOf = make([]int, len(machines)) //eant:alloc-ok grows once to fleet size, then reused every interval
-	}
-	idx.rankOf = idx.rankOf[:len(machines)]
-	for i := range idx.rankOf {
-		idx.rankOf[i] = -1
-	}
-	ids := idx.ids[:0]
-	for _, m := range machines {
-		if m.Available() {
-			ids = append(ids, m.ID())
-		}
-	}
-	row := c.row
-	sort.Slice(ids, func(a, b int) bool { //eant:alloc-ok per-interval index rebuild, not per-offer; comparator does not escape
-		//eant:float-eq-ok sort tie-break: exact equality routes ties to the deterministic ID fallback
-		if row[ids[a]] != row[ids[b]] {
-			return row[ids[a]] > row[ids[b]]
-		}
-		return ids[a] < ids[b]
-	})
-	idx.ids = ids
-	idx.vals = idx.vals[:0]
-	idx.prefixSlots = append(idx.prefixSlots[:0], 0)
-	idx.freeBuckets = idx.freeBuckets[:0]
-	for b := (len(ids) + 63) / 64; b > 0; b-- {
-		idx.freeBuckets = append(idx.freeBuckets, 0)
-	}
-	slots := 0
-	for rank, id := range ids {
-		m := machines[id]
-		idx.vals = append(idx.vals, row[id])
-		idx.rankOf[id] = rank
-		slots += m.Spec().MapSlots
-		idx.prefixSlots = append(idx.prefixSlots, slots)
-		idx.freeBuckets[rank>>6] += m.FreeMapSlots()
-	}
-	idx.tick = e.tickSeq
-	idx.epoch = ctx.AvailabilityEpoch()
-	if idx.listed != e.tickSeq {
-		idx.listed = e.tickSeq
-		e.indexed = append(e.indexed, c)
-	}
-	return idx
+	return ctx.PendingTasks(mapreduce.MapTask) <= slots && anyFree
 }
 
 // selectColony realizes Eq. 8 for one slot offer: restrict candidates to
@@ -608,11 +468,6 @@ func (e *EAnt) OnTaskComplete(ctx *mapreduce.Context, t *mapreduce.Task) {
 // and fold the interval's feedback into the trails.
 func (e *EAnt) OnControlTick(ctx *mapreduce.Context) {
 	e.init(ctx)
-	// Trails are about to change: open a new index interval and drop the
-	// indexed-colony list BEFORE retiring colonies, so it never holds a
-	// reference to a retired colony.
-	e.tickSeq++
-	e.indexed = e.indexed[:0]
 	active := e.activeScratch
 	clear(active)
 	for _, j := range ctx.ActiveJobs() {

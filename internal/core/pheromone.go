@@ -40,12 +40,6 @@ type colony struct {
 	delta    []float64 //eant:reset-keep Update scratch, valid only while hasDelta (which reuse clears)
 	count    []int     //eant:reset-keep Update scratch, valid only while hasDelta (which reuse clears)
 	hasDelta bool
-
-	// idx is the colony's per-control-interval host index (E-Ant's decline
-	// guard): trails only change at the control tick, so the trail-ranked
-	// machine view is rebuilt at most once per colony per interval. Owned
-	// and stamped by EAnt (see eant.go); buffers are reused across rebuilds.
-	idx *hostIndex
 }
 
 // Matrix holds pheromone trails per colony over the machine set and folds
@@ -65,7 +59,7 @@ type Matrix struct {
 	index    map[ColonyKey]int
 	cols     []*colony
 
-	// pool recycles retired colonies (their row/pending/delta/count/idx
+	// pool recycles retired colonies (their row/pending/delta/count
 	// buffers) so a warm rerun of the same workload allocates no new colony
 	// state. Acquisition re-initializes every reused field, so a pooled
 	// colony is observationally identical to a fresh one.
@@ -133,12 +127,6 @@ func (mx *Matrix) colonyFor(key ColonyKey) *colony {
 		}
 		c.pending = c.pending[:0]
 		c.hasDelta = false
-		if c.idx != nil {
-			// The index stamps compare against the owning EAnt's tickSeq
-			// and availability epoch, both of which restart on a warm run;
-			// a stale stamp could alias a live interval, so force rebuild.
-			c.idx.tick, c.idx.epoch, c.idx.listed = 0, 0, 0
-		}
 	} else {
 		c = &colony{row: make([]float64, mx.machines)} //eant:alloc-ok first touch of a colony only; warm reruns recycle the pool
 	}

@@ -79,11 +79,6 @@ type aggregates struct {
 	// slots per type for the straggler guard.
 	typeIdx          []int
 	freeReduceByType []int
-
-	// epoch counts machine crash/recover transitions; schedulers stamp
-	// derived per-interval indices with it so a mid-interval availability
-	// change invalidates them.
-	epoch uint64
 }
 
 // initAggregates sizes the aggregate buffers and builds the type table, a
@@ -169,13 +164,6 @@ func (d *Driver) reclassify(m cluster.Machine) {
 	a.class[m.ID()] = now
 }
 
-// noteAvailabilityChange records a crash/recover: reclassifies the
-// machine and bumps the epoch that invalidates scheduler-side indices.
-func (d *Driver) noteAvailabilityChange(m cluster.Machine) {
-	d.reclassify(m)
-	d.agg.epoch++
-}
-
 // noteSlotChange records a ±1 change in m's free slots of one kind and
 // forwards it to the scheduler's slot observer, if any.
 func (d *Driver) noteSlotChange(m cluster.Machine, kind TaskKind, delta int) {
@@ -217,7 +205,7 @@ func (d *Driver) notePending(j *Job, kind TaskKind, delta int) {
 // The gate can close again: reexecuteLostMaps decrements mapsDone when a
 // crash loses completed map output.
 func (d *Driver) syncReduceGate(j *Job) {
-	open := j.MapProgress() >= d.cfg.Slowstart
+	open := j.MapProgress() >= reduceSlowstart
 	if open == j.reduceGateOpen {
 		return
 	}
@@ -273,7 +261,7 @@ func (d *Driver) checkAggregates() error {
 	for _, j := range d.active {
 		pm += j.PendingMaps()
 		pr += j.PendingReduces()
-		open := j.MapProgress() >= d.cfg.Slowstart
+		open := j.MapProgress() >= reduceSlowstart
 		if open != j.reduceGateOpen {
 			return fmt.Errorf("job %d reduce gate cached %v, derived %v", j.Spec.ID, j.reduceGateOpen, open)
 		}

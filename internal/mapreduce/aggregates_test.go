@@ -14,7 +14,7 @@ import (
 // campaign for the driver's incremental aggregates: consolidation
 // (sleep/wake), random machine crashes and recoveries, attempt failures
 // with blacklisting, and E-Ant assignment (which exercises the
-// slot-observer and awake-slot paths) all in one run. The run() helper
+// awake-slot paths) all in one run. The run() helper
 // enables Driver.EnableInvariantChecks, so every mutating event — task
 // start/finish, kill, crash, recover, blacklist, sleep, wake, requeue,
 // job completion — is followed by a full recompute-and-compare of the

@@ -17,14 +17,8 @@ import (
 
 // Config parameterizes a simulated cluster run.
 type Config struct {
-	// Heartbeat is the TaskTracker reporting period and the granularity
-	// Δt of the Eq. 2 energy estimator. Hadoop's default is 3 s (§IV-B).
-	Heartbeat time.Duration
 	// ControlInterval is E-Ant's policy-refresh period (§V-B: 5 min).
 	ControlInterval time.Duration
-	// Slowstart is the completed-map fraction after which a job's reduces
-	// become schedulable. 1.0 (default) waits for the full map barrier.
-	Slowstart float64
 	// Noise configures system-noise injection.
 	Noise noise.Config
 	// Replication is the HDFS replica count (default 3).
@@ -39,12 +33,6 @@ type Config struct {
 	// map task is local with this probability. Used by the Fig. 6
 	// data-locality study. Negative (default) uses real placement.
 	ForcedLocalFraction float64
-	// NetShareDivisor models NIC and switch sharing: a task's transfer
-	// bandwidth is NetMBps/NetShareDivisor. The default 16 reflects a
-	// busy GbE fabric where remote map reads roughly double a task's
-	// service time — the regime behind the paper's Fig. 6 (10 % → 80 %
-	// locality nearly halves completion time).
-	NetShareDivisor float64
 	// ComputeOnlyTypes lists machine types that run no DataNode: HDFS
 	// never places replicas there, so all their map input is remote.
 	ComputeOnlyTypes []string
@@ -101,6 +89,21 @@ func (p *PowerMgmt) setDefaults() {
 	}
 }
 
+// heartbeat is the TaskTracker reporting period and the granularity Δt of
+// the Eq. 2 energy estimator. Hadoop's default is 3 s (§IV-B).
+const heartbeat = 3 * time.Second
+
+// reduceSlowstart is the completed-map fraction after which a job's
+// reduces become schedulable: 1.0 waits for the full map barrier.
+const reduceSlowstart = 1.0
+
+// netShareDivisor models NIC and switch sharing: a task's transfer
+// bandwidth is NetMBps/netShareDivisor. 16 reflects a busy GbE fabric
+// where remote map reads roughly double a task's service time — the
+// regime behind the paper's Fig. 6 (10 % → 80 % locality nearly halves
+// completion time).
+const netShareDivisor = 16
+
 // ScaledControlInterval is the paper's 5-minute control interval scaled
 // to the 1/64-shrunken workloads (tasks shrink ~10×, intervals likewise).
 const ScaledControlInterval = 30 * time.Second
@@ -109,34 +112,23 @@ const ScaledControlInterval = 30 * time.Second
 // of its own.
 const RunawayHorizon = 48 * time.Hour
 
-// DefaultConfig returns the paper's setup: 3 s heartbeats, 5 min control
-// interval, full map barrier, replication 3, no noise.
+// DefaultConfig returns the paper's setup: 5 min control interval,
+// replication 3, real HDFS placement, no noise. The 3 s heartbeat and the
+// full map barrier are constants (heartbeat, reduceSlowstart).
 func DefaultConfig() Config {
 	return Config{
-		Heartbeat:           3 * time.Second,
 		ControlInterval:     5 * time.Minute,
-		Slowstart:           1.0,
 		Replication:         hdfs.DefaultReplication,
 		ForcedLocalFraction: -1,
-		NetShareDivisor:     16,
 	}
 }
 
 func (c *Config) setDefaults() {
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = 3 * time.Second
-	}
 	if c.ControlInterval <= 0 {
 		c.ControlInterval = 5 * time.Minute
 	}
-	if c.Slowstart <= 0 {
-		c.Slowstart = 1.0
-	}
 	if c.Replication <= 0 {
 		c.Replication = hdfs.DefaultReplication
-	}
-	if c.NetShareDivisor <= 0 {
-		c.NetShareDivisor = 16
 	}
 	if c.Power.Enabled {
 		c.Power.setDefaults()
@@ -148,9 +140,6 @@ func (c *Config) setDefaults() {
 
 // Validate reports the first problem with the configuration.
 func (c Config) Validate() error {
-	if c.Slowstart > 1 {
-		return fmt.Errorf("mapreduce: slowstart %v > 1", c.Slowstart)
-	}
 	if c.ForcedLocalFraction > 1 {
 		return fmt.Errorf("mapreduce: forced local fraction %v > 1", c.ForcedLocalFraction)
 	}
@@ -178,13 +167,11 @@ type Driver struct {
 	// path computes no event arguments and allocates nothing.
 	probe *probe.Probe
 
-	jobs             []*Job //eant:reset-keep reused by Run's warm gate when the new specs match
-	active           []*Job
-	unsubmit         int
-	totalSlots       int
-	totalMapSlots    int
-	totalReduceSlots int
-	tickOffset       int
+	jobs       []*Job //eant:reset-keep reused by Run's warm gate when the new specs match
+	active     []*Job
+	unsubmit   int
+	totalSlots int
+	tickOffset int
 
 	stats *Stats
 	// intervalAssign accumulates task starts per (job, machine) within
@@ -213,8 +200,8 @@ type Driver struct {
 	// machine type in sorted type-name order; mapEst memoizes the
 	// (app, spec) map-service estimates — both inputs are static.
 	agg      aggregates
-	typeReps []*cluster.TypeSpec //eant:reset-keep pure function of the cluster, which a driver never swaps
-	mapEst   map[mapEstKey]float64
+	typeReps []*cluster.TypeSpec   //eant:reset-keep pure function of the cluster, which a driver never swaps
+	mapEst   map[mapEstKey]float64 //eant:reset-keep pure function of (app, spec), both static
 
 	// slotObs receives free-slot change notifications when the scheduler
 	// implements SlotObserver; speculator is asked for a speculative clone
@@ -223,11 +210,6 @@ type Driver struct {
 	slotObs    SlotObserver
 	speculator Speculator
 	onMutation func(where string) //eant:reset-keep test-only hook installed for the driver's lifetime
-
-	// staleEstimates is set by Reset when the new config invalidates the
-	// memoized service estimates (NetShareDivisor changed); Run's warm job
-	// reuse then drops each job's reduce-estimate memo.
-	staleEstimates bool
 
 	// Typed event kinds (sim.RegisterKind jump table). The hot scheduling
 	// paths — heartbeat sweeps, control ticks, submissions, completion/
@@ -315,7 +297,7 @@ func (d *Driver) Run(specs []workload.JobSpec, horizon time.Duration) (*Stats, e
 		}
 		replicasOf := func(block int) []int { return file.Blocks[block] }
 		if warm {
-			d.jobs[i].resetForRun(replicasOf, d.staleEstimates)
+			d.jobs[i].resetForRun(replicasOf)
 		} else {
 			d.jobs = append(d.jobs, newJob(spec, replicasOf))
 		}
@@ -353,7 +335,7 @@ func (d *Driver) heartbeatTick() {
 		return
 	}
 	d.serveHeartbeats()
-	d.engine.ScheduleKindAfter(d.cfg.Heartbeat, d.evHeartbeat, 0, nil)
+	d.engine.ScheduleKindAfter(heartbeat, d.evHeartbeat, 0, nil)
 }
 
 // controlTickEvent is the periodic control-interval event, typed for the
@@ -567,13 +549,13 @@ const TaskThreads = 1.6
 // mapService returns the noise-free wall-clock CPU seconds and total
 // service seconds of a map task with the given input on a machine of the
 // given spec.
-func mapService(prof workload.Profile, inputMB float64, spec *cluster.TypeSpec, local bool, netDivisor float64) (cpuWallSecs, totalSecs float64) {
+func mapService(prof workload.Profile, inputMB float64, spec *cluster.TypeSpec, local bool) (cpuWallSecs, totalSecs float64) {
 	cpuWallSecs = prof.MapCPUPerMB * inputMB / (spec.SpeedFactor * TaskThreads)
 	diskShare := spec.DiskMBps / float64(spec.MapSlots)
 	ioSecs := prof.MapIOPerMB * inputMB / diskShare
 	netSecs := 0.0
 	if !local {
-		netSecs = inputMB / (spec.NetMBps / netDivisor)
+		netSecs = inputMB / (spec.NetMBps / netShareDivisor)
 	}
 	return cpuWallSecs, cpuWallSecs + ioSecs + netSecs
 }
@@ -581,8 +563,8 @@ func mapService(prof workload.Profile, inputMB float64, spec *cluster.TypeSpec, 
 // reduceService returns the noise-free shuffle seconds, wall-clock compute
 // CPU seconds, and total compute seconds of a reduce task pulling
 // shuffleMB.
-func reduceService(prof workload.Profile, shuffleMB float64, spec *cluster.TypeSpec, netDivisor float64) (shuffleSecs, cpuWallSecs, computeSecs float64) {
-	shuffleSecs = shuffleMB / (spec.NetMBps / netDivisor)
+func reduceService(prof workload.Profile, shuffleMB float64, spec *cluster.TypeSpec) (shuffleSecs, cpuWallSecs, computeSecs float64) {
+	shuffleSecs = shuffleMB / (spec.NetMBps / netShareDivisor)
 	cpuWallSecs = prof.ReduceCPUPerMB * shuffleMB / (spec.SpeedFactor * TaskThreads)
 	diskShare := spec.DiskMBps / float64(spec.MapSlots)
 	ioSecs := prof.ReduceIOPerMB * shuffleMB / diskShare
@@ -612,7 +594,7 @@ func (d *Driver) startMap(t *Task, m cluster.Machine) {
 	t.Local = d.isLocal(t, m)
 
 	wake := d.wakeIfNeeded(m)
-	cpuWall, base := mapService(prof, t.InputMB, spec, t.Local, d.cfg.NetShareDivisor)
+	cpuWall, base := mapService(prof, t.InputMB, spec, t.Local)
 	dur := base*d.noise.DurationFactorFor(base) + wake
 	t.computeSecs = dur
 	t.trueUtil = taskUtil(cpuWall, dur, spec)
@@ -654,7 +636,7 @@ func (d *Driver) startReduce(t *Task, m cluster.Machine) {
 	spec := m.Spec()
 	prof := workload.ProfileOf(t.Job.Spec.App)
 	wake := d.wakeIfNeeded(m)
-	shuffleSecs, cpuWall, computeSecs := reduceService(prof, t.InputMB, spec, d.cfg.NetShareDivisor)
+	shuffleSecs, cpuWall, computeSecs := reduceService(prof, t.InputMB, spec)
 
 	factor := d.noise.DurationFactorFor(shuffleSecs + computeSecs)
 	t.shuffleSecs = shuffleSecs*factor + wake
@@ -876,7 +858,7 @@ func (d *Driver) completeJob(j *Job) {
 // measurement noise — the value a real TaskTracker would report.
 func (d *Driver) estimateJoules(t *Task) float64 {
 	spec := t.Machine.Spec()
-	dt := d.cfg.Heartbeat
+	dt := heartbeat
 	// A real TaskTracker samples at heartbeats: a task alive for k
 	// intervals reports k samples, so the reconstructed duration is the
 	// actual one rounded to the nearest heartbeat multiple (unbiased for

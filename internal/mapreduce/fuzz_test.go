@@ -15,20 +15,18 @@ import (
 // accepts must construct a driver without panicking (setDefaults has to
 // repair every degenerate-but-valid value Validate lets through).
 func FuzzConfigValidate(f *testing.F) {
-	f.Add(int64(3_000_000_000), int64(300_000_000_000), 1.0, -1.0, 0.0, 0.0, int64(0), int64(0), 0.0, 0, 0, int64(0), int64(1), int64(30_000_000_000), 1)
-	f.Add(int64(-5), int64(0), 1.5, 2.0, 0.5, 2.0, int64(60_000_000_000), int64(-1), 1.1, -4, 2, int64(-1), int64(7), int64(0), -3)
-	f.Add(int64(1), int64(1), 0.0, 0.0, -0.1, 0.9, int64(600_000_000_000), int64(120_000_000_000), 0.02, 4, 3, int64(600_000_000_000), int64(42), int64(1), 1)
+	f.Add(int64(300_000_000_000), -1.0, 0.0, 0.0, int64(0), int64(0), 0.0, 0, 0, int64(0), int64(1), int64(30_000_000_000), 1)
+	f.Add(int64(0), 2.0, 0.5, 2.0, int64(60_000_000_000), int64(-1), 1.1, -4, 2, int64(-1), int64(7), int64(0), -3)
+	f.Add(int64(1), 0.0, -0.1, 0.9, int64(600_000_000_000), int64(120_000_000_000), 0.02, 4, 3, int64(600_000_000_000), int64(42), int64(1), 1)
 	f.Fuzz(func(t *testing.T,
-		heartbeat, controlInterval int64,
-		slowstart, forcedLocal, durationCV, stragglerProb float64,
+		controlInterval int64,
+		forcedLocal, durationCV, stragglerProb float64,
 		mtbf, mttr int64, taskFailProb float64,
 		maxAttempts, blacklistThreshold int, blacklistCooldown int64,
 		seed, idleTimeout int64, coveringPerType int,
 	) {
 		cfg := mapreduce.Config{
-			Heartbeat:           time.Duration(heartbeat),
 			ControlInterval:     time.Duration(controlInterval),
-			Slowstart:           slowstart,
 			ForcedLocalFraction: forcedLocal,
 			Seed:                seed,
 			Noise: noise.Config{

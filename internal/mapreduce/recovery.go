@@ -125,10 +125,8 @@ func (d *Driver) crashMachine(id int) {
 	if d.probe != nil {
 		d.probe.MachineState(now, m.ID(), "crash")
 	}
-	d.noteAvailabilityChange(m)
+	d.reclassify(m)
 	d.totalSlots -= m.Spec().Slots()
-	d.totalMapSlots -= m.Spec().MapSlots
-	d.totalReduceSlots -= m.Spec().ReduceSlots
 	d.stats.Crashes++
 	d.mutated("crash")
 }
@@ -179,8 +177,6 @@ func (d *Driver) recoverMachine(id int) {
 	d.meter.Sync(m, now)
 	m.Repair()
 	d.totalSlots += m.Spec().Slots()
-	d.totalMapSlots += m.Spec().MapSlots
-	d.totalReduceSlots += m.Spec().ReduceSlots
 	if d.lastBusy != nil {
 		d.lastBusy[id] = now
 	}
@@ -191,7 +187,7 @@ func (d *Driver) recoverMachine(id int) {
 	if d.probe != nil {
 		d.probe.MachineState(now, m.ID(), "recover")
 	}
-	d.noteAvailabilityChange(m)
+	d.reclassify(m)
 	d.stats.Recoveries++
 	d.mutated("recover")
 }

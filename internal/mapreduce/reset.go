@@ -32,10 +32,6 @@ func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 	if sched == nil {
 		return fmt.Errorf("mapreduce: nil scheduler")
 	}
-	// A changed divisor invalidates the memoized service estimates; exact
-	// comparison is right here — any difference, however small, changes them.
-	//eant:float-eq-ok config identity check, not a tolerance comparison
-	staleEst := cfg.NetShareDivisor != d.cfg.NetShareDivisor
 	d.cfg = cfg
 
 	// Every random stream is seeded with ForkSeed(seed, label): the seed
@@ -44,7 +40,7 @@ func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 	// Calendar buckets sized to the dominant event period: heartbeats,
 	// completions and shuffle transitions land in the O(1) ring; control
 	// ticks and far-future submissions take the overflow band.
-	d.engine.SetBucketWidth(cfg.Heartbeat)
+	d.engine.SetBucketWidth(heartbeat)
 	d.cluster.Reset()
 	d.meter.Reset()
 	if err := d.noise.Reset(cfg.Noise, sim.ForkSeed(cfg.Seed, "noise")); err != nil {
@@ -62,8 +58,6 @@ func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 	d.slotObs, _ = sched.(SlotObserver)
 	d.speculator, _ = sched.(Speculator)
 	d.totalSlots = d.cluster.TotalSlots()
-	d.totalMapSlots = d.cluster.TotalMapSlots()
-	d.totalReduceSlots = d.cluster.TotalReduceSlots()
 	d.stats = newStats(sched.Name())
 	clear(d.intervalAssign)
 	d.unsubmit = 0
@@ -102,10 +96,6 @@ func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 		d.covering, d.lastBusy = nil, nil
 	}
 
-	d.staleEstimates = staleEst
-	if staleEst {
-		clear(d.mapEst)
-	}
 	d.resetAggregates()
 	return nil
 }
@@ -129,7 +119,6 @@ func (d *Driver) resetAggregates() {
 	a.pendingMaps = 0
 	a.pendingReduces = 0
 	a.readyPendingReduces = 0
-	a.epoch = 0
 	clear(a.freeReduceByType)
 	awake := &a.byClass[classAwake]
 	for _, m := range d.cluster.Machines() {
@@ -150,10 +139,9 @@ func (d *Driver) resetAggregates() {
 // are inert — the engine reset bumped their generation), the pending FIFOs
 // and locality index are rebuilt by overwrite in task order, and
 // speculative clones (separate allocations) are dropped with the cleared
-// runningSet. replicasOf supplies the placed block locations; staleEst
-// drops the memoized reduce estimates when the run config changed their
-// inputs.
-func (j *Job) resetForRun(replicasOf func(block int) []int, staleEst bool) {
+// runningSet. replicasOf supplies the placed block locations. The reduce
+// estimate memo stays: Run reuses a job only for an identical spec.
+func (j *Job) resetForRun(replicasOf func(block int) []int) {
 	j.Submitted, j.FirstStart, j.MapsDoneAt, j.LastShuffleEnd, j.Finished = 0, 0, 0, 0, 0
 	j.mapsDone, j.reducesDone = 0, 0
 	j.started, j.done, j.failed = false, false, false
@@ -161,9 +149,6 @@ func (j *Job) resetForRun(replicasOf func(block int) []int, staleEst bool) {
 	j.running = 0
 	clear(j.runningByMachine)
 	clear(j.runningSet)
-	if staleEst {
-		clear(j.reduceEst)
-	}
 	// Truncate each locality queue in place. failJob replaces the whole map
 	// and popLocalMap nils drained entries; q[:0] of nil is nil, and the
 	// append below re-allocates only those queues.

@@ -72,16 +72,13 @@ func resetBase() mapreduce.Config {
 // Every field of mapreduce.Config must have a row, so a new knob cannot be
 // left out of Reset unnoticed.
 var resetRows = map[string]func(*mapreduce.Config){
-	"Heartbeat":             func(c *mapreduce.Config) { c.Heartbeat = 5 * time.Second },
 	"ControlInterval":       func(c *mapreduce.Config) { c.ControlInterval = time.Minute },
-	"Slowstart":             func(c *mapreduce.Config) { c.Slowstart = 0.5 },
 	"Noise":                 func(c *mapreduce.Config) { c.Noise = noise.Default() },
 	"Replication":           func(c *mapreduce.Config) { c.Replication = 1 },
 	"Seed":                  func(c *mapreduce.Config) { c.Seed = 9 },
 	"KeepTaskRecords":       func(c *mapreduce.Config) { c.KeepTaskRecords = true },
 	"KeepAssignmentHistory": func(c *mapreduce.Config) { c.KeepAssignmentHistory = true },
 	"ForcedLocalFraction":   func(c *mapreduce.Config) { c.ForcedLocalFraction = 0.5 },
-	"NetShareDivisor":       func(c *mapreduce.Config) { c.NetShareDivisor = 4 },
 	"ComputeOnlyTypes":      func(c *mapreduce.Config) { c.ComputeOnlyTypes = []string{cluster.SpecDesktop.Name} },
 	"Power":                 func(c *mapreduce.Config) { c.Power = mapreduce.PowerMgmt{Enabled: true} },
 	"Fault": func(c *mapreduce.Config) {

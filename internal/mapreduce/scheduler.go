@@ -36,9 +36,8 @@ type Scheduler interface {
 
 // SlotObserver is an optional Scheduler extension: the driver notifies it
 // whenever a machine's free-slot count of one kind changes (task start,
-// completion, kill). Schedulers use it to keep per-control-interval
-// indices (E-Ant's trail-ranked free-slot counters) current without
-// rescanning machines on every offer.
+// completion, kill). No registered policy implements it; it stays because
+// the benchmark harness's tracing decorator names it.
 type SlotObserver interface {
 	OnSlotFreeChange(ctx *Context, m cluster.Machine, kind TaskKind, delta int)
 }
@@ -107,30 +106,6 @@ func (c *Context) ReadyReduceTasks() int {
 // TotalSlots returns S_pool, the fleet-wide slot count (Eq. 7).
 func (c *Context) TotalSlots() int { return c.driver.totalSlots }
 
-// QueuePressure reports how backlogged the cluster is for the given task
-// kind: 0 when queues are empty, 1 when pending work is at least twice the
-// fleet's slot capacity for that kind. Schedulers that deliberately idle
-// slots (E-Ant) use it to stay work-conserving under heavy load.
-func (c *Context) QueuePressure(kind TaskKind) float64 {
-	d := c.driver
-	var pending, slots int
-	if kind == MapTask {
-		pending = d.agg.pendingMaps
-		slots = d.totalMapSlots
-	} else {
-		pending = d.agg.readyPendingReduces
-		slots = d.totalReduceSlots
-	}
-	if slots == 0 {
-		return 1
-	}
-	p := float64(pending) / float64(2*slots)
-	if p > 1 {
-		p = 1
-	}
-	return p
-}
-
 // FairShare returns S_min for job j: an equal split of the slot pool among
 // active jobs, as the Hadoop Fair Scheduler's single-pool default.
 func (c *Context) FairShare(j *Job) float64 {
@@ -178,14 +153,6 @@ func (c *Context) PopReduce(j *Job) *Task {
 	return t
 }
 
-// Requeue returns an unstarted task popped this heartbeat back to its job
-// (the scheduler declined the assignment after inspecting it). requeue
-// always re-adds exactly one live entry, so the pending delta is +1.
-func (c *Context) Requeue(t *Task) {
-	t.Job.requeue(t)
-	c.driver.notePending(t.Job, t.Kind, 1)
-}
-
 // CloneForSpeculation creates a speculative copy of a straggling running
 // attempt, to be returned from Speculator.Speculate (or AssignMap/
 // AssignReduce) like a pending task. The first of the pair to finish
@@ -224,7 +191,7 @@ func (c *Context) EstimateMapSeconds(j *Job, spec *cluster.TypeSpec) float64 {
 		return v
 	}
 	prof := workload.ProfileOf(j.Spec.App)
-	_, total := mapService(prof, workload.BlockMB, spec, true, c.driver.cfg.NetShareDivisor)
+	_, total := mapService(prof, workload.BlockMB, spec, true)
 	if c.driver.mapEst == nil {
 		c.driver.mapEst = make(map[mapEstKey]float64, 32) //eant:alloc-ok lazy memo table, amortized across the run
 	}
@@ -240,7 +207,7 @@ func (c *Context) EstimateReduceSeconds(j *Job, spec *cluster.TypeSpec) float64 
 		return v
 	}
 	prof := workload.ProfileOf(j.Spec.App)
-	_, _, compute := reduceService(prof, j.Spec.ShuffleMBPerReduce(), spec, c.driver.cfg.NetShareDivisor)
+	_, _, compute := reduceService(prof, j.Spec.ShuffleMBPerReduce(), spec)
 	if j.reduceEst == nil {
 		j.reduceEst = make(map[*cluster.TypeSpec]float64, 8) //eant:alloc-ok lazy memo table, amortized per job
 	}
@@ -269,11 +236,6 @@ func (c *Context) AwakeSlots(kind TaskKind) (slots, free int) {
 	}
 	return aw.reduceSlots + bl.reduceSlots, aw.freeReduce + bl.freeReduce
 }
-
-// AvailabilityEpoch counts machine crash/recover transitions. Schedulers
-// stamp per-control-interval indices with it so a mid-interval
-// availability change invalidates them.
-func (c *Context) AvailabilityEpoch() uint64 { return c.driver.agg.epoch }
 
 // TypeSpecs returns one representative spec per machine type in sorted
 // type-name order. The slice is shared; callers must not mutate it.

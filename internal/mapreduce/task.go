@@ -215,7 +215,7 @@ type Job struct {
 	// reduceEst memoizes EstimateReduceSeconds per machine type: shuffle
 	// volume and profile are fixed at submission, so the estimate is static
 	// per (job, type). Allocated lazily on first estimate.
-	reduceEst map[*cluster.TypeSpec]float64
+	reduceEst map[*cluster.TypeSpec]float64 //eant:reset-keep static per (spec, type); Run reuses a job only for an identical spec
 }
 
 // newJob allocates a job's task arrays, index slices and maps for spec and
@@ -245,7 +245,7 @@ func newJob(spec workload.JobSpec, replicasOf func(block int) []int) *Job {
 	for i := range reduces {
 		j.Reduces[i] = &reduces[i] //eant:retain-ok batch array sized to NumReduces above and never appended to
 	}
-	j.resetForRun(replicasOf, false)
+	j.resetForRun(replicasOf)
 	return j
 }
 
@@ -351,9 +351,9 @@ func (j *Job) RunningAttempts(kind TaskKind) []*Task {
 }
 
 // requeueRetry returns a reset task to the pending pools after an attempt
-// failure, machine crash, or lost map output. Unlike requeue (which undoes
-// a same-heartbeat pop), retried maps also re-enter the locality index:
-// their input block still has replicas on the surviving machines.
+// failure, machine crash, or lost map output. A retried map also re-enters
+// the locality index: its input block still has replicas on the surviving
+// machines.
 func (j *Job) requeueRetry(t *Task) {
 	if t.State != TaskPending {
 		panic(fmt.Sprintf("mapreduce: retry requeue of %s in state %d", t.ID(), t.State))
@@ -365,29 +365,5 @@ func (j *Job) requeueRetry(t *Task) {
 		}
 	} else {
 		j.pendingReduces = append(j.pendingReduces, t.Index)
-	}
-}
-
-// requeue returns a popped task to its pending pool (a scheduler chose a
-// job but then declined the assignment).
-func (j *Job) requeue(t *Task) {
-	if t.State != TaskPending {
-		panic(fmt.Sprintf("mapreduce: requeue of %s in state %d", t.ID(), t.State))
-	}
-	if t.Kind == MapTask {
-		// Prepend by resetting head if possible, else append.
-		if j.pendingHead > 0 {
-			j.pendingHead--
-			j.pendingMaps[j.pendingHead] = t.Index
-		} else {
-			j.pendingMaps = append(j.pendingMaps, t.Index)
-		}
-	} else {
-		if j.reduceHead > 0 {
-			j.reduceHead--
-			j.pendingReduces[j.reduceHead] = t.Index
-		} else {
-			j.pendingReduces = append(j.pendingReduces, t.Index)
-		}
 	}
 }

@@ -87,48 +87,12 @@ func TestPeekPendingLocalMap(t *testing.T) {
 	}
 }
 
-func TestRequeueRestoresTask(t *testing.T) {
-	spec := workload.NewJobSpec(1, workload.Terasort, 128, 2, 0)
-	j := newJob(spec, replicasAll(1))
-	task := j.popAnyMap()
-	if j.PendingMaps() != 1 {
-		t.Fatal("pop did not consume")
-	}
-	j.requeue(task)
-	if j.PendingMaps() != 2 {
-		t.Error("requeue did not restore map")
-	}
-	r := j.popReduce()
-	j.requeue(r)
-	if j.PendingReduces() != 2 {
-		t.Error("requeue did not restore reduce")
-	}
-}
-
-func TestRequeueNonPendingPanics(t *testing.T) {
-	spec := workload.NewJobSpec(1, workload.Grep, 64, 0, 0)
-	j := newJob(spec, replicasAll(1))
-	task := j.popAnyMap()
-	task.State = TaskRunning
-	defer func() {
-		if recover() == nil {
-			t.Error("requeue of running task did not panic")
-		}
-	}()
-	j.requeue(task)
-}
-
 func TestConfigValidate(t *testing.T) {
 	good := DefaultConfig()
 	if err := good.Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
 	bad := DefaultConfig()
-	bad.Slowstart = 1.5
-	if err := bad.Validate(); err == nil {
-		t.Error("slowstart > 1 accepted")
-	}
-	bad = DefaultConfig()
 	bad.ForcedLocalFraction = 2
 	if err := bad.Validate(); err == nil {
 		t.Error("forced local fraction > 1 accepted")

@@ -3,6 +3,8 @@ package sched_test
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -199,6 +201,7 @@ func TestDriverContractAllPolicies(t *testing.T) {
 			if got, want := statsDigest(stats), contractDigests[key]; got != want {
 				t.Errorf("%s: stats digest %#x, want %#x", key, got, want)
 			}
+			checkEnergyBalance(t, key, stats)
 			if p.name == "LATE" && (check.speculateCalls == 0 || stats.SpeculativeStarted == 0) {
 				t.Errorf("%s: speculation inert: %d Speculate calls, %d clones", key, check.speculateCalls, stats.SpeculativeStarted)
 			}
@@ -206,6 +209,43 @@ func TestDriverContractAllPolicies(t *testing.T) {
 				t.Errorf("%s: churn inert: crashes=%d failures=%d blacklists=%d sleeps=%d",
 					key, stats.Crashes, stats.TaskFailures, stats.Blacklists, stats.Sleeps)
 			}
+		}
+	}
+}
+
+// checkEnergyBalance asserts that a run's energy accounting balances: the
+// per-machine meter readings, summed in machine order, are exactly the
+// fleet total; the per-type totals agree with it to rounding; and no task
+// reports negative energy.
+func checkEnergyBalance(t *testing.T, key string, stats *mapreduce.Stats) {
+	t.Helper()
+	var machines float64
+	for _, j := range stats.MachineJoules {
+		machines += j
+	}
+	// Exact: the meter's total is the same left-to-right sum.
+	if machines != stats.TotalJoules {
+		t.Errorf("%s: machine joules sum to %v, TotalJoules %v", key, machines, stats.TotalJoules)
+	}
+	types := make([]string, 0, len(stats.TypeJoules))
+	for name := range stats.TypeJoules {
+		types = append(types, name)
+	}
+	sort.Strings(types)
+	var byType float64
+	for _, name := range types {
+		byType += stats.TypeJoules[name]
+	}
+	if math.Abs(byType-stats.TotalJoules) > 1e-9*math.Abs(stats.TotalJoules) {
+		t.Errorf("%s: type joules sum to %v, TotalJoules %v", key, byType, stats.TotalJoules)
+	}
+	if stats.TotalJoules <= 0 || len(stats.Tasks) == 0 {
+		t.Errorf("%s: inert energy accounting: TotalJoules %v, %d task records", key, stats.TotalJoules, len(stats.Tasks))
+	}
+	for _, r := range stats.Tasks {
+		if r.EstJoules < 0 || r.TrueJoules < 0 {
+			t.Errorf("%s: job %d task on machine %d reports est %v, true %v joules",
+				key, r.JobID, r.MachineID, r.EstJoules, r.TrueJoules)
 		}
 	}
 }
