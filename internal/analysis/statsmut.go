@@ -6,8 +6,8 @@ import (
 )
 
 // machineMutators are the cluster.Machine methods that change slot
-// occupancy or availability — exactly the transitions the driver's
-// incremental aggregates (internal/mapreduce/aggregates.go) mirror.
+// occupancy, utilization or availability — the transitions the driver
+// must pair with its own bookkeeping in the same event.
 var machineMutators = map[string]bool{
 	"AcquireMap":    true,
 	"AcquireReduce": true,
@@ -20,9 +20,10 @@ var machineMutators = map[string]bool{
 }
 
 // aggregateEntryPoints are the driver functions allowed to invoke machine
-// mutators: each pairs the mutation with the matching noteSlotChange /
-// reclassify bookkeeping, keeping the O(1) aggregates bit-identical to the
-// scans they replaced.
+// mutators: each syncs the power meter before the utilization or power
+// state changes (so energy is integrated at the draw the machine really
+// had) and forwards every free-slot change to the scheduler's
+// SlotObserver through noteSlotChange.
 var aggregateEntryPoints = map[string]bool{
 	"startMap":           true,
 	"startReduce":        true,
@@ -40,16 +41,17 @@ const (
 	mapreducePkg = "eant/internal/mapreduce"
 )
 
-// StatsMut enforces the aggregate-coherence contract from the O(1)
-// heartbeat refactor: cluster.Machine slot/availability state may only be
-// mutated through the driver entry points that update the incremental
-// aggregates in the same event, and a shared mapreduce.Config must not be
-// written after the driver captured it. A bare m.AcquireMap in a scheduler
-// would silently desynchronize byClass/freeReduceByType from ground truth
-// — a corruption only the test-only invariant checker would ever notice.
+// StatsMut enforces the driver's state-change contract: cluster.Machine
+// slot/availability state may only be mutated through the driver entry
+// points that do the matching bookkeeping in the same event, and a shared
+// mapreduce.Config must not be written after the driver captured it. A
+// bare m.AcquireMap in a scheduler would skip the meter sync, so the
+// utilization change would be back-dated to the machine's last sync and
+// the energy integral silently wrong, and a SlotObserver would miss the
+// slot change.
 var StatsMut = &Analyzer{
 	Name: "statsmut",
-	Doc:  "restrict cluster.Machine slot/availability mutation to the driver's aggregate-updating entry points, and forbid writes through shared mapreduce.Config",
+	Doc:  "restrict cluster.Machine slot/availability mutation to the driver entry points that sync the meter and forward slot changes, and forbid writes through shared mapreduce.Config",
 	Run:  runStatsMut,
 }
 
@@ -88,7 +90,7 @@ func (pass *Pass) checkMachineMutation(fn *ast.FuncDecl) {
 		if !namedFrom(pass.TypeOf(sel.X), clusterPkg, "Machine") {
 			return true
 		}
-		pass.Reportf(call.Pos(), "cluster.Machine.%s outside a driver aggregate entry point: slot/availability state would desynchronize from the incremental aggregates; route the transition through the driver (aggregates.go entry points)", sel.Sel.Name)
+		pass.Reportf(call.Pos(), "cluster.Machine.%s outside a driver aggregate entry point: the power meter would not be synced before the change and a SlotObserver would miss it; route the transition through the driver entry points", sel.Sel.Name)
 		return true
 	})
 }
@@ -122,7 +124,7 @@ func (pass *Pass) checkConfigMutation(fn *ast.FuncDecl) {
 				// copy until it is handed to NewDriver.
 				continue
 			}
-			pass.Reportf(as.Pos(), "write to shared mapreduce.Config field %s: the driver captured its Config at construction and derived aggregates from it; mutate a local copy before NewDriver instead", sel.Sel.Name)
+			pass.Reportf(as.Pos(), "write to shared mapreduce.Config field %s: the driver captured its Config at Reset and derived its run state from it; mutate a local copy before NewDriver instead", sel.Sel.Name)
 		}
 		return true
 	})

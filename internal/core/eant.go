@@ -267,14 +267,8 @@ func (e *EAnt) accepts(ctx *mapreduce.Context, j *mapreduce.Job, c *colony, kind
 	// the same free capacity and collectively over-decline. This is the
 	// only path that reads pending on a reduce offer — an awake machine's
 	// reduce acceptance never consults it.
-	if m.Asleep() {
-		// m sits in the asleep availability class, so the awake aggregates
-		// exclude it — same machine set the old self-skipping scan covered.
-		pending := ctx.PendingTasks(kind)
-		awakeSlots, awakeFree := ctx.AwakeSlots(kind)
-		if pending <= awakeSlots && awakeFree > 0 {
-			return false
-		}
+	if m.Asleep() && awakeFleetAbsorbs(ctx, kind) {
+		return false
 	}
 	if kind == mapreduce.ReduceTask {
 		// Reduce placement adapts through colony selection only (see
@@ -315,6 +309,33 @@ func (e *EAnt) betterHostsAbsorb(ctx *mapreduce.Context, c *colony, m cluster.Ma
 		}
 	}
 	return ctx.PendingTasks(mapreduce.MapTask) <= slots && anyFree
+}
+
+// awakeFleetAbsorbs reports whether the powered-up machines have enough
+// slot capacity of the given kind for the fleet-wide pending work of that
+// kind and at least one slot of it free right now. Blacklisted machines
+// count (they hold slots and finish in-flight work); dead and sleeping
+// machines do not, so the sleeping machine under offer never counts
+// itself. The scan stops as soon as both conditions hold.
+func awakeFleetAbsorbs(ctx *mapreduce.Context, kind mapreduce.TaskKind) bool {
+	pending := ctx.PendingTasks(kind)
+	slots, anyFree := 0, false
+	for _, h := range ctx.Cluster.Machines() {
+		if !h.Available() || h.Asleep() {
+			continue
+		}
+		if kind == mapreduce.MapTask {
+			slots += h.Spec().MapSlots
+			anyFree = anyFree || h.FreeMapSlots() > 0
+		} else {
+			slots += h.Spec().ReduceSlots
+			anyFree = anyFree || h.FreeReduceSlots() > 0
+		}
+		if anyFree && slots >= pending {
+			return true
+		}
+	}
+	return false
 }
 
 // selectColony realizes Eq. 8 for one slot offer: restrict candidates to
@@ -445,13 +466,19 @@ func (e *EAnt) reduceWouldStraggle(ctx *mapreduce.Context, j *mapreduce.Job, m c
 	if own <= mean*slowReduceFactor {
 		return false
 	}
-	// A fast machine with a free reduce slot exists iff some machine TYPE
-	// is fast and has free reduce slots. m's own type is never fast here
-	// (its estimate is own > mean·factor), so m needs no special-casing —
-	// matching the old scan's self-exclusion.
-	for i, spec := range ctx.TypeSpecs() {
-		if ctx.EstimateReduceSeconds(j, spec) <= mean*slowReduceFactor && ctx.FreeReduceSlotsOfType(i) > 0 {
-			return true
+	// Speed is a property of the machine type, so only the machines of
+	// fast types are scanned for a free reduce slot. m's own type is never
+	// fast here (its estimate is own > mean·factor), so m needs no
+	// special-casing. A dead machine reports no free slot; a sleeping one
+	// counts, since it wakes for the task.
+	for _, spec := range ctx.TypeSpecs() {
+		if ctx.EstimateReduceSeconds(j, spec) > mean*slowReduceFactor {
+			continue
+		}
+		for _, h := range ctx.Cluster.ByType(spec.Name) {
+			if h.FreeReduceSlots() > 0 {
+				return true
+			}
 		}
 	}
 	return false

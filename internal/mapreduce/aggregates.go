@@ -6,14 +6,15 @@ import (
 	"eant/internal/cluster"
 )
 
-// This file is the driver's incremental-statistics layer. The scheduler
-// hot path (one call per free slot per heartbeat) used to recompute
-// cluster-wide facts — pending work per task kind, awake slot capacity,
-// per-type free reduce slots — by scanning every active job or every
-// machine on each offer. The driver instead maintains those facts as live
-// aggregates, updated at the O(1) events that change them: queue
-// pops/requeues, job arrival/departure, task start/finish, and machine
-// availability transitions (sleep/wake, crash/recover, blacklist).
+// This file is the driver's incremental-statistics layer: three pending
+// counters, updated at the O(1) events that change them (queue pops and
+// requeues, job arrival and departure, map completion and loss). The
+// work-proportional heartbeat sweep gates on them — a machine's free map
+// slots are offered only while pendingMaps > 0, its free reduce slots only
+// while readyPendingReduces > 0 — and Context.PendingTasks and
+// ReadyReduceTasks serve them to schedulers, so neither the sweep nor a
+// policy rescans the active jobs per offer. Facts about machines (free
+// slots, availability, sleep) are read from the cluster directly.
 //
 // Invariants (checkAggregates verifies them after every mutating event):
 //
@@ -23,17 +24,6 @@ import (
 //     progress has passed the slowstart gate (Job.reduceGateOpen caches
 //     the gate; it is re-derived whenever mapsDone changes, including the
 //     decrease in reexecuteLostMaps).
-//   - class[id] is the machine's availability class with precedence
-//     dead > asleep > blacklisted > awake. A blacklist expiry is a
-//     time-based transition with no event attached, so class may lag as
-//     blacklisted past the cooldown until the next heartbeat reconciles
-//     it — harmless, because every consumer reads awake+blacklisted
-//     summed (a blacklisted machine still holds slots and finishes work).
-//   - freeMap[id]/freeReduce[id] mirror Machine.FreeXSlots() (0 while
-//     dead); byClass buckets sum capacity and accounted free slots over
-//     the machines currently in each class.
-//   - freeReduceByType[t] == Σ FreeReduceSlots() over machines of type t
-//     (dead machines contribute 0), in sorted type-name order.
 //
 // Note the pending counters deliberately reproduce the lazy-queue
 // semantics of Job.PendingMaps(): popping a map through the locality
@@ -42,141 +32,16 @@ import (
 // quantity by applying before/after deltas around each queue operation,
 // keeping every consumer bit-identical to the scan it replaced.
 
-// machineClass is a machine's availability bucket.
-type machineClass uint8
-
-const (
-	classAwake machineClass = iota
-	classAsleep
-	classBlacklisted
-	classDead
-	numClasses
-)
-
-// classSlots aggregates slot capacity and free slots over one class.
-type classSlots struct {
-	mapSlots    int
-	reduceSlots int
-	freeMap     int
-	freeReduce  int
-}
-
 // aggregates is the driver's incremental-statistics state.
 type aggregates struct {
 	pendingMaps         int
 	pendingReduces      int
 	readyPendingReduces int
-
-	class   []machineClass
-	byClass [numClasses]classSlots
-	// freeMap/freeReduce are the per-machine free slots accounted into
-	// the class buckets (zeroed while a machine is dead).
-	freeMap    []int
-	freeReduce []int
-
-	// typeIdx maps machine ID to its index in the driver's typeReps
-	// (sorted type-name order); freeReduceByType aggregates free reduce
-	// slots per type for the straggler guard.
-	typeIdx          []int
-	freeReduceByType []int
 }
 
-// initAggregates sizes the aggregate buffers and builds the type table, a
-// pure function of the cluster; Reset seeds the values (resetAggregates).
-func (d *Driver) initAggregates() {
-	c := d.cluster
-	n := c.Size()
-	a := &d.agg
-	a.class = make([]machineClass, n)
-
-	names := c.TypeNames()
-	d.typeReps = make([]*cluster.TypeSpec, len(names))
-	for i, name := range names {
-		d.typeReps[i] = c.ByType(name)[0].Spec()
-	}
-
-	// One backing array for the per-machine and per-type int aggregates:
-	// this runs once per driver, so setup allocations stay negligible next
-	// to a run's steady-state footprint.
-	buf := make([]int, 3*n+len(names))
-	a.freeMap, buf = buf[:n:n], buf[n:]
-	a.freeReduce, buf = buf[:n:n], buf[n:]
-	a.typeIdx, buf = buf[:n:n], buf[n:]
-	a.freeReduceByType = buf
-
-	for _, m := range c.Machines() {
-		for i, rep := range d.typeReps {
-			if rep.Name == m.Spec().Name {
-				a.typeIdx[m.ID()] = i
-				break
-			}
-		}
-	}
-}
-
-// classOf derives a machine's availability class from its live state.
-func (d *Driver) classOf(m cluster.Machine) machineClass {
-	switch {
-	case !m.Available():
-		return classDead
-	case m.Asleep():
-		return classAsleep
-	case d.blacklisted(m.ID()):
-		return classBlacklisted
-	default:
-		return classAwake
-	}
-}
-
-// reclassify moves m's capacity and free-slot contributions into its
-// current availability class. Call after any transition: sleep/wake,
-// crash/recover, blacklisting. Entering the dead class zeroes the
-// machine's accounted free slots (a crashed machine holds none — the
-// driver detaches every running attempt before Machine.Fail, so at that
-// point free == capacity); leaving it restores them to full capacity.
-func (d *Driver) reclassify(m cluster.Machine) {
-	a := &d.agg
-	old := a.class[m.ID()]
-	now := d.classOf(m)
-	if now == old {
-		return
-	}
-	spec := m.Spec()
-	from := &a.byClass[old]
-	from.mapSlots -= spec.MapSlots
-	from.reduceSlots -= spec.ReduceSlots
-	from.freeMap -= a.freeMap[m.ID()]
-	from.freeReduce -= a.freeReduce[m.ID()]
-	if now == classDead {
-		a.freeReduceByType[a.typeIdx[m.ID()]] -= a.freeReduce[m.ID()]
-		a.freeMap[m.ID()] = 0
-		a.freeReduce[m.ID()] = 0
-	} else if old == classDead {
-		a.freeMap[m.ID()] = spec.MapSlots
-		a.freeReduce[m.ID()] = spec.ReduceSlots
-		a.freeReduceByType[a.typeIdx[m.ID()]] += spec.ReduceSlots
-	}
-	to := &a.byClass[now]
-	to.mapSlots += spec.MapSlots
-	to.reduceSlots += spec.ReduceSlots
-	to.freeMap += a.freeMap[m.ID()]
-	to.freeReduce += a.freeReduce[m.ID()]
-	a.class[m.ID()] = now
-}
-
-// noteSlotChange records a ±1 change in m's free slots of one kind and
-// forwards it to the scheduler's slot observer, if any.
+// noteSlotChange forwards a ±1 change in m's free slots of one kind to
+// the scheduler's slot observer, if any.
 func (d *Driver) noteSlotChange(m cluster.Machine, kind TaskKind, delta int) {
-	a := &d.agg
-	cl := &a.byClass[a.class[m.ID()]]
-	if kind == MapTask {
-		a.freeMap[m.ID()] += delta
-		cl.freeMap += delta
-	} else {
-		a.freeReduce[m.ID()] += delta
-		cl.freeReduce += delta
-		a.freeReduceByType[a.typeIdx[m.ID()]] += delta
-	}
 	if d.slotObs != nil {
 		d.slotObs.OnSlotFreeChange(d.ctx, m, kind, delta)
 	}
@@ -242,8 +107,8 @@ func (d *Driver) mutated(where string) {
 
 // EnableInvariantChecks installs a self-check that recomputes every
 // aggregate from scratch after each mutating event and reports the first
-// divergence through fail. Test-only: the recompute is O(jobs + machines)
-// per event and would defeat the incremental layer in real runs.
+// divergence through fail. Test-only: the recompute is O(jobs) per event
+// and would defeat the incremental layer in real runs.
 func (d *Driver) EnableInvariantChecks(fail func(error)) {
 	d.onMutation = func(where string) {
 		if err := d.checkAggregates(); err != nil {
@@ -256,7 +121,6 @@ func (d *Driver) EnableInvariantChecks(fail func(error)) {
 // and returns the first divergence from the incremental counters.
 func (d *Driver) checkAggregates() error {
 	a := &d.agg
-
 	pm, pr, rpr := 0, 0, 0
 	for _, j := range d.active {
 		pm += j.PendingMaps()
@@ -277,40 +141,6 @@ func (d *Driver) checkAggregates() error {
 	}
 	if rpr != a.readyPendingReduces {
 		return fmt.Errorf("readyPendingReduces %d, recomputed %d", a.readyPendingReduces, rpr)
-	}
-
-	var byClass [numClasses]classSlots
-	freeByType := make([]int, len(a.freeReduceByType))
-	for _, m := range d.cluster.Machines() {
-		want := d.classOf(m)
-		got := a.class[m.ID()]
-		// A blacklist expiry has no event; the class may lag until the
-		// next heartbeat reconciles it. Only that one direction may lag.
-		if got != want && !(got == classBlacklisted && want == classAwake) {
-			return fmt.Errorf("%s class %d, derived %d", m, got, want)
-		}
-		if a.freeMap[m.ID()] != m.FreeMapSlots() {
-			return fmt.Errorf("%s accounted free map slots %d, actual %d", m, a.freeMap[m.ID()], m.FreeMapSlots())
-		}
-		if a.freeReduce[m.ID()] != m.FreeReduceSlots() {
-			return fmt.Errorf("%s accounted free reduce slots %d, actual %d", m, a.freeReduce[m.ID()], m.FreeReduceSlots())
-		}
-		cl := &byClass[got]
-		cl.mapSlots += m.Spec().MapSlots
-		cl.reduceSlots += m.Spec().ReduceSlots
-		cl.freeMap += a.freeMap[m.ID()]
-		cl.freeReduce += a.freeReduce[m.ID()]
-		freeByType[a.typeIdx[m.ID()]] += m.FreeReduceSlots()
-	}
-	for c := machineClass(0); c < numClasses; c++ {
-		if byClass[c] != a.byClass[c] {
-			return fmt.Errorf("class %d slots %+v, recomputed %+v", c, a.byClass[c], byClass[c])
-		}
-	}
-	for t, free := range freeByType {
-		if free != a.freeReduceByType[t] {
-			return fmt.Errorf("type %d free reduce slots %d, recomputed %d", t, a.freeReduceByType[t], free)
-		}
 	}
 	return nil
 }

@@ -244,7 +244,11 @@ func NewDriver(c *cluster.Cluster, sched Scheduler, cfg Config) (*Driver, error)
 	d.evFail = d.engine.RegisterKind(func(_ int, arg any) { d.failAttempt(arg.(*Task)) })
 	d.evReduceCompute = d.engine.RegisterKind(func(_ int, arg any) { d.beginReduceCompute(arg.(*Task)) })
 	d.faults.Bind(d.engine, fault.Hooks{Crash: d.crashMachine, Recover: d.recoverMachine})
-	d.initAggregates()
+	names := c.TypeNames()
+	d.typeReps = make([]*cluster.TypeSpec, len(names))
+	for i, name := range names {
+		d.typeReps[i] = c.ByType(name)[0].Spec()
+	}
 	if err := d.Reset(sched, cfg); err != nil {
 		return nil, err
 	}
@@ -372,15 +376,16 @@ func (d *Driver) submit(j *Job) {
 // index arithmetic is itself measurable.
 //
 // A tick with nothing to assign skips the walk. That needs no pending map,
-// no ready reduce and no speculator, and also no per-machine timed work:
-// consolidation sleeps and blacklist expiry happen in sweep order, so runs
-// with either keep the walk and rely on sweep's per-kind gate alone.
+// no ready reduce and no speculator, and also consolidation off: its
+// sleeps are per-machine timed work done in sweep order, so runs with it
+// keep the walk and rely on sweep's per-kind gate alone. A blacklist needs
+// no per-tick work; its expiry is a time comparison made at the next offer.
 func (d *Driver) serveHeartbeats() {
 	machines := d.cluster.Machines()
 	n := len(machines)
 	d.tickOffset = (d.tickOffset + 1) % n
 	idle := d.agg.pendingMaps == 0 && d.agg.readyPendingReduces == 0 &&
-		d.speculator == nil && !d.cfg.Power.Enabled && d.blacklistUntil == nil
+		d.speculator == nil && !d.cfg.Power.Enabled
 	if !idle {
 		d.sweep(machines[d.tickOffset:])
 		d.sweep(machines[:d.tickOffset])
@@ -401,13 +406,6 @@ func (d *Driver) sweep(machines []cluster.Machine) {
 	for _, m := range machines {
 		if !m.Available() {
 			continue
-		}
-		if blacklistOn {
-			// Blacklist expiry is a time-based transition with no event
-			// attached; reconcile the availability class at the heartbeat.
-			if d.agg.class[m.ID()] == classBlacklisted && !d.blacklisted(m.ID()) {
-				d.reclassify(m)
-			}
 		}
 		if powerOn {
 			d.maybeSleep(m)
@@ -492,7 +490,6 @@ func (d *Driver) maybeSleep(m cluster.Machine) {
 	if d.probe != nil {
 		d.probe.MachineState(d.engine.Now(), m.ID(), "sleep")
 	}
-	d.reclassify(m)
 	d.mutated("sleep")
 }
 
@@ -508,7 +505,6 @@ func (d *Driver) wakeIfNeeded(m cluster.Machine) float64 {
 	if d.probe != nil {
 		d.probe.MachineState(d.engine.Now(), m.ID(), "wake")
 	}
-	d.reclassify(m)
 	d.mutated("wake")
 	return d.cfg.Power.WakeLatency.Seconds()
 }

@@ -125,7 +125,6 @@ func (d *Driver) crashMachine(id int) {
 	if d.probe != nil {
 		d.probe.MachineState(now, m.ID(), "crash")
 	}
-	d.reclassify(m)
 	d.totalSlots -= m.Spec().Slots()
 	d.stats.Crashes++
 	d.mutated("crash")
@@ -187,7 +186,6 @@ func (d *Driver) recoverMachine(id int) {
 	if d.probe != nil {
 		d.probe.MachineState(now, m.ID(), "recover")
 	}
-	d.reclassify(m)
 	d.stats.Recoveries++
 	d.mutated("recover")
 }
@@ -254,7 +252,6 @@ func (d *Driver) noteMachineFailure(m cluster.Machine) {
 		if d.probe != nil {
 			d.probe.MachineState(d.engine.Now(), m.ID(), "blacklist")
 		}
-		d.reclassify(m)
 	}
 }
 

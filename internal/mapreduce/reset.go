@@ -7,16 +7,16 @@ import (
 )
 
 // This file is the single initializer of every piece of per-run state.
-// NewDriver, newJob and initAggregates only allocate (the engine, cluster
-// reference, meter, namespace, aggregate buffers, Job/Task arrays) and then
-// call Reset, resetForRun and resetAggregates below, so a cold run is a
-// warm run on zeroed memory: there is no second copy of the initial state
-// to drift. A warm Reset reuses every long-lived allocation — the engine's
-// calendar queue and event pool, the cluster and meter arrays, the HDFS
-// namespace (retired files recycled by job ID), the aggregate buffers, and
-// (via Run's warm gate) the Job/Task structures — and must still leave the
-// driver in exactly the state a cold one starts from; TestWarmEqualsCold
-// and the committed goldens check that from outside.
+// NewDriver and newJob only allocate (the engine, cluster reference, meter,
+// namespace, type table, Job/Task arrays) and then call Reset, resetForRun
+// and resetAggregates below, so a cold run is a warm run on zeroed memory:
+// there is no second copy of the initial state to drift. A warm Reset
+// reuses every long-lived allocation — the engine's calendar queue and
+// event pool, the cluster and meter arrays, the HDFS namespace (retired
+// files recycled by job ID) and (via Run's warm gate) the Job/Task
+// structures — and must still leave the driver in exactly the state a cold
+// one starts from; TestWarmEqualsCold and the committed goldens check that
+// from outside.
 
 // Reset configures the driver for a run with the given scheduler and
 // configuration; NewDriver calls it on a freshly allocated driver. The
@@ -109,28 +109,11 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// resetAggregates seeds the aggregate state for the fully-awake fleet in
-// the buffers initAggregates sized. The type table (typeReps, typeIdx) is
-// a pure function of the cluster and stays.
+// resetAggregates zeroes the pending counters: no job is active yet.
 func (d *Driver) resetAggregates() {
-	a := &d.agg
-	clear(a.class) // classAwake is the zero class
-	a.byClass = [numClasses]classSlots{}
-	a.pendingMaps = 0
-	a.pendingReduces = 0
-	a.readyPendingReduces = 0
-	clear(a.freeReduceByType)
-	awake := &a.byClass[classAwake]
-	for _, m := range d.cluster.Machines() {
-		spec := m.Spec()
-		a.freeMap[m.ID()] = spec.MapSlots
-		a.freeReduce[m.ID()] = spec.ReduceSlots
-		awake.mapSlots += spec.MapSlots
-		awake.reduceSlots += spec.ReduceSlots
-		awake.freeMap += spec.MapSlots
-		awake.freeReduce += spec.ReduceSlots
-		a.freeReduceByType[a.typeIdx[m.ID()]] += spec.ReduceSlots
-	}
+	d.agg.pendingMaps = 0
+	d.agg.pendingReduces = 0
+	d.agg.readyPendingReduces = 0
 }
 
 // resetForRun initializes j's run state for a run of its spec; newJob

@@ -225,22 +225,6 @@ func (c *Context) PendingTasks(kind TaskKind) int {
 	return c.driver.agg.pendingReduces
 }
 
-// AwakeSlots returns the slot capacity and free slots of the given kind on
-// powered-up machines. Blacklisted machines count (they hold slots and
-// finish in-flight work); dead and sleeping machines do not.
-func (c *Context) AwakeSlots(kind TaskKind) (slots, free int) {
-	a := &c.driver.agg
-	aw, bl := &a.byClass[classAwake], &a.byClass[classBlacklisted]
-	if kind == MapTask {
-		return aw.mapSlots + bl.mapSlots, aw.freeMap + bl.freeMap
-	}
-	return aw.reduceSlots + bl.reduceSlots, aw.freeReduce + bl.freeReduce
-}
-
 // TypeSpecs returns one representative spec per machine type in sorted
 // type-name order. The slice is shared; callers must not mutate it.
 func (c *Context) TypeSpecs() []*cluster.TypeSpec { return c.driver.typeReps }
-
-// FreeReduceSlotsOfType returns the free reduce slots on machines of the
-// i-th type (TypeSpecs order), excluding dead machines.
-func (c *Context) FreeReduceSlotsOfType(i int) int { return c.driver.agg.freeReduceByType[i] }
